@@ -14,7 +14,6 @@ import re
 import sys
 from typing import Optional
 
-from .acceptance import run_all
 from .approximations import approximation_report
 from .arcs import (
     Arc,
@@ -236,6 +235,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # Only this command needs the suites; importing them lazily keeps
+    # every other call from paying for the import.
+    from .acceptance import run_all
+
     results = run_all(tower_truncation=args.truncation)
     if args.json:
         _emit_json(

@@ -126,25 +126,76 @@ class FountainFlags(NamedTuple):
 # --- configuration file format -------------------------------------------
 
 
+def _show(value: object) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _json_int(value: object, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: expected an integer, got {_show(value)}")
+    return value
+
+
+def _json_list(value: object, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list, got {_show(value)}")
+    return list(value)
+
+
+def _at(path: str, make, *args):
+    # Build a value, prefixing its own validation error with the path.
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _generator_from_dict(entry: object, path: str) -> Generator:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: expected an object, got {_show(entry)}")
+
+    def field(key: str) -> int:
+        if key not in entry:
+            raise ValueError(f"{path}.{key}: missing")
+        return _json_int(entry[key], f"{path}.{key}")
+
+    if "kind" not in entry:
+        raise ValueError(f"{path}.kind: missing")
+    kind = entry["kind"]
+    if kind == "explicit":
+        arcs = []
+        for k, pair in enumerate(_json_list(entry.get("arcs", []), f"{path}.arcs")):
+            where = f"{path}.arcs[{k}]"
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"{where}: expected a pair of integers, got {_show(pair)}")
+            arcs.append(
+                _at(where, FiniteArc, _json_int(pair[0], where), _json_int(pair[1], where))
+            )
+        return Explicit(arcs)
+    if kind == "fan":
+        return Fan(field("vertex"))
+    if kind == "zigzag":
+        return Zigzag(field("center"))
+    if kind == "splitfan":
+        return _at(path, SplitFan, field("p"), field("q"))
+    raise ValueError(f"{path}.kind: unknown generator kind {kind!r}")
+
+
 def configuration_from_dict(data: dict) -> ArcConfiguration:
+    """Read a configuration document.  Raises ValueError naming the JSON
+    path of the first malformed entry, e.g. ``generators[0].vertex:
+    missing``."""
     if not isinstance(data, dict):
         raise ValueError("configuration document must be an object")
-    gens = []
-    for entry in data.get("generators", []):
-        kind = entry.get("kind")
-        if kind == "explicit":
-            gens.append(
-                Explicit(FiniteArc(int(a), int(b)) for a, b in entry.get("arcs", []))
-            )
-        elif kind == "fan":
-            gens.append(Fan(int(entry["vertex"])))
-        elif kind == "zigzag":
-            gens.append(Zigzag(int(entry["center"])))
-        elif kind == "splitfan":
-            gens.append(SplitFan(int(entry["p"]), int(entry["q"])))
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-    return ArcConfiguration(gens, data.get("infinite_arcs", []))
+    gens = [
+        _generator_from_dict(entry, f"generators[{k}]")
+        for k, entry in enumerate(_json_list(data.get("generators", []), "generators"))
+    ]
+    infs = [
+        _json_int(m, f"infinite_arcs[{k}]")
+        for k, m in enumerate(_json_list(data.get("infinite_arcs", []), "infinite_arcs"))
+    ]
+    return ArcConfiguration(gens, infs)
 
 
 def configuration_to_dict(c: ArcConfiguration) -> dict:

@@ -24,7 +24,7 @@ transitions are isomorphisms whenever the answer is 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import ceil
 from typing import Union
@@ -32,11 +32,10 @@ from typing import Union
 from .quiver import (
     FiniteInd,
     IndObject,
-    PruferInd,
-    Tristate,
-    composite_nonzero,
-    hom_dim,
-    shift_object,
+    _arc,
+    _composite_true,
+    _finite_arc,
+    _region,
 )
 
 __all__ = [
@@ -167,6 +166,22 @@ class TowerLimit:
     lim1_vanishes: bool = True
 
 
+def _slice_arcs(slice_start: int, truncation: int) -> list[tuple[int, int]]:
+    # Stage k of the slice based at slice_start is the object with shift
+    # slice_start - k and index k; its arc is (-slice_start - 2, k - slice_start).
+    return [_arc(slice_start - k, k) for k in range(truncation + 1)]
+
+
+def _direct_tower(y: tuple[int, int], stages: list[tuple[int, int]]) -> HomTower:
+    # Hom(y, -) along the stage arcs, on the integer kernel.
+    dims = tuple(0 if _region(*y, *o) is None else 1 for o in stages)
+    flags = tuple(
+        dims[i] == 1 and dims[i + 1] == 1 and _composite_true(y, stages[i], stages[i + 1])
+        for i in range(len(stages) - 1)
+    )
+    return HomTower(dims, flags, TowerDirection.DIRECT)
+
+
 def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower:
     """Direct tower Hom(y, -) along the slice based at slice_start.
 
@@ -178,15 +193,8 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    objs = [FiniteInd(slice_start - i, i) for i in range(truncation + 1)]
-    dims = tuple(hom_dim(y, o).value for o in objs)
-    flags = []
-    for i in range(truncation):
-        ok = dims[i] == 1 and dims[i + 1] == 1
-        if ok:
-            ok = composite_nonzero(y, objs[i], objs[i + 1]) is Tristate.TRUE
-        flags.append(ok)
-    return HomTower(dims, tuple(flags), TowerDirection.DIRECT)
+    y_arc = _finite_arc("build_hom_tower", "y", y)
+    return _direct_tower(y_arc, _slice_arcs(slice_start, truncation))
 
 
 def build_inverse_hom_tower(
@@ -204,16 +212,17 @@ def build_inverse_hom_tower(
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    objs = [FiniteInd(slice_start - j, j) for j in range(truncation + 1)]
-    dims = tuple(hom_dim(o, target).value for o in objs)
-    dual_probe = shift_object(target, -2)
-    flags = []
-    for j in range(truncation):
-        ok = dims[j] == 1 and dims[j + 1] == 1
-        if ok:
-            ok = composite_nonzero(dual_probe, objs[j], objs[j + 1]) is Tristate.TRUE
-        flags.append(ok)
-    return HomTower(dims, tuple(flags), TowerDirection.INVERSE)
+    i, j = _finite_arc("build_inverse_hom_tower", "target", target)
+    stages = _slice_arcs(slice_start, truncation)
+    dims = tuple(0 if _region(*o, i, j) is None else 1 for o in stages)
+    # Shifting an object by -2 moves both ends of its arc up by 2.
+    dual_probe = (i + 2, j + 2)
+    flags = tuple(
+        dims[k] == 1 and dims[k + 1] == 1
+        and _composite_true(dual_probe, stages[k], stages[k + 1])
+        for k in range(truncation)
+    )
+    return HomTower(dims, flags, TowerDirection.INVERSE)
 
 
 def _stable_split(tower: HomTower) -> int:
@@ -287,16 +296,25 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     inner stage over the settled part of both inner towers.  Inner
     towers run to twice the requested truncation so that they stay
     stable for outer stages near the end.  The caller must pick the
-    truncation large enough relative to |m - n|; otherwise
-    TowerUnstableError propagates.
+    truncation large enough relative to |m - n|: TowerUnstableError is
+    raised when m - n > truncation - ceil(truncation / 4), and
+    propagates from any tower that does not settle.
     """
     if truncation < 4:
         raise ValueError("truncation must be >= 4")
+    # Outer stage j is nonzero only from j = m - n on.  Past this gap
+    # the outer tower has not settled by its final quarter, and past
+    # gap truncation every outer stage is 0, a settled but wrong answer.
+    longest_gap = truncation - ceil(truncation / 4)
+    if m - n > longest_gap:
+        raise TowerUnstableError(
+            f"truncation {truncation} is too short for slots {m} and {n}: "
+            f"the nested tower settles only for m - n <= {longest_gap}"
+        )
     inner_truncation = 2 * truncation
-    stages = [FiniteInd(m - j, j) for j in range(truncation + 1)]
-    inner = [
-        truncated_colim(build_hom_tower(y, n, inner_truncation)) for y in stages
-    ]
+    stages = _slice_arcs(m, truncation)
+    targets = _slice_arcs(n, inner_truncation)
+    inner = [truncated_colim(_direct_tower(y, targets)) for y in stages]
     dims = tuple(c.value for c in inner)
     flags = []
     for j in range(truncation):
@@ -304,8 +322,7 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
         if ok:
             start = max(inner[j].stable_from, inner[j + 1].stable_from)
             ok = all(
-                composite_nonzero(stages[j], stages[j + 1], FiniteInd(n - l, l))
-                is Tristate.TRUE
+                _composite_true(stages[j], stages[j + 1], targets[l])
                 for l in range(start, inner_truncation + 1)
             )
         flags.append(ok)

@@ -10,6 +10,21 @@ Every hom space in sight is zero- or one-dimensional over the ground
 field, so dimensions are reported as plain 0/1 integers together with a
 witness explaining which membership rule fired.  All functions here are
 pure and operate on exact integers (no overflow: Python ints).
+
+Between finite objects everything rests on one integer kernel in arc
+coordinates.  The finite object Sigma^r X_s is the arc (i, j) =
+(-r - s - 2, -r), and Hom from the object with arc (i, j) to the object
+with arc (m, n) is nonzero exactly when (m, n) lies in one of two
+regions of the hom hammock:
+
+* minus: m <= i - 2 and i <= n <= j - 2;
+* plus: i <= m <= j - 2 and n >= j.
+
+The regions are disjoint.  Ext(a, b) is Hom(a, Sigma b), so the kernel
+reads b one shift up; the plus region also carries the sufficient
+criterion of composite_nonzero.  The truncated towers in `graded` call
+the kernel on plain ints; HomDim and HomWitness are built only by the
+public functions.
 """
 from __future__ import annotations
 
@@ -128,33 +143,87 @@ def wedge_contains(base: int, obj: FiniteInd) -> bool:
     return 0 <= j <= obj.index
 
 
-def _region_params(obj: FiniteInd) -> tuple[int, int]:
-    # Unique (m, n) with obj = Sigma^(-n) X_(n-m-2).  These coincide with
-    # the object's arc coordinates.
-    n = -obj.shift
-    m = -obj.shift - obj.index - 2
-    return m, n
+def _arc(shift: int, index: int) -> tuple[int, int]:
+    # Arc endpoints (i, j) of the finite object Sigma^shift X_index.
+    return -shift - index - 2, -shift
+
+
+def _region(i: int, j: int, m: int, n: int) -> Optional[str]:
+    """The integer hom kernel: the region of the hom hammock of the
+    finite object with arc (i, j) that holds the finite object with arc
+    (m, n), or None when Hom between them vanishes."""
+    if m <= i - 2 and i <= n <= j - 2:
+        return "minus"
+    if i <= m <= j - 2 and n >= j:
+        return "plus"
+    return None
+
+
+def _composite_true(u: tuple[int, int], v: tuple[int, int], w: tuple[int, int]) -> bool:
+    """The TRUE criterion of composite_nonzero on the arcs of u, v, w,
+    after checking that Hom(u, v) and Hom(v, w) are nonzero."""
+    uv = _region(*u, *v)
+    if uv is None:
+        raise ValueError("composite_nonzero requires Hom(u, v) nonzero")
+    vw = _region(*v, *w)
+    if vw is None:
+        raise ValueError("composite_nonzero requires Hom(v, w) nonzero")
+    return uv == "plus" and vw == "plus" and _region(*u, *w) == "plus"
+
+
+def _finite_arc(func: str, name: str, x: object) -> tuple[int, int]:
+    if not isinstance(x, FiniteInd):
+        raise TypeError(
+            f"{func} is defined for finite objects only, "
+            f"{name} is {type(x).__name__}"
+        )
+    return _arc(x.shift, x.index)
 
 
 def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bool:
     """Test whether obj lies in a nonzero-map region of `center`.
 
-    The two regions are given as parametrized families over integers
-    (m, n); the parameters are uniquely solvable from obj, so membership
-    reduces to the integer inequalities below.  Region edges belong to
-    the regions.  The minus region sits up-left of the center, the plus
-    region down-right; they are disjoint.  A finite object receives a
-    nonzero map from u exactly when it lies in either region of the
-    shifted center shift_object(u, 1).
+    The regions are those of the hom kernel for the once-downshifted
+    center: obj lies in a region of `center` exactly when the kernel
+    puts it there for Hom(shift_object(center, -1), obj).  Region edges
+    belong to the regions.  The minus region sits up-left of the center,
+    the plus region down-right; they are disjoint.
     """
-    r, s = center.shift, center.index
-    m, n = _region_params(obj)
-    if part is RegionPart.MINUS:
-        return m <= -r - s - 3 and -r - s - 1 <= n <= -r - 1
-    if part is RegionPart.PLUS:
-        return -r - s - 1 <= m <= -r - 1 and n >= -r + 1
-    return h_region_contains(center, obj, RegionPart.MINUS) or h_region_contains(
-        center, obj, RegionPart.PLUS
+    i, j = _finite_arc("h_region_contains", "center", center)
+    region = _region(i + 1, j + 1, *_finite_arc("h_region_contains", "obj", obj))
+    if part is RegionPart.EITHER:
+        return region is not None
+    return region == part.value
+
+
+def _hom_dim(func: str, a: IndObject, b: IndObject, t: int) -> HomDim:
+    # Hom(a, Sigma^t b), with the witness of the rule that decided it.
+    if isinstance(b, FiniteInd):
+        shift = b.shift + t
+        if isinstance(a, FiniteInd):
+            m, n = _arc(shift, b.index)
+            region = _region(*_arc(a.shift, a.index), m, n)
+            return HomDim(
+                0 if region is None else 1,
+                HomWitness("finite-finite", region, (m, n)),
+            )
+        if isinstance(a, PruferInd):
+            base = a.slot + 2
+            j = base - shift
+            value = 1 if 0 <= j <= b.index else 0
+            return HomDim(value, HomWitness("prufer-finite", None, (base, j, b.index)))
+    elif isinstance(b, PruferInd):
+        slot = b.slot + t
+        if isinstance(a, FiniteInd):
+            j = slot - a.shift
+            value = 1 if 0 <= j <= a.index else 0
+            return HomDim(value, HomWitness("finite-prufer", None, (slot, j, a.index)))
+        if isinstance(a, PruferInd):
+            value = 1 if slot <= a.slot else 0
+            return HomDim(value, HomWitness("prufer-prufer", None, (a.slot, slot)))
+    name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
+    raise TypeError(
+        f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"
     )
 
 
@@ -163,37 +232,19 @@ def hom_dim(a: IndObject, b: IndObject) -> HomDim:
 
     Four cases by the kinds of a and b:
 
-    * finite, finite: 1 iff b lies in a nonzero-map region of the
-      once-shifted a;
+    * finite, finite: the hom kernel on their arcs;
     * finite, limit at slot n: 1 iff a is in the wedge at base n;
     * limit at slot n, finite: 1 iff b is in the wedge at base n + 2;
     * limit m, limit n: 1 iff n <= m (note the asymmetry).
+
+    Raises TypeError when an argument is not a FiniteInd or PruferInd.
     """
-    if isinstance(a, FiniteInd) and isinstance(b, FiniteInd):
-        center = FiniteInd(a.shift + 1, a.index)
-        m, n = _region_params(b)
-        if h_region_contains(center, b, RegionPart.MINUS):
-            return HomDim(1, HomWitness("finite-finite", "minus", (m, n)))
-        if h_region_contains(center, b, RegionPart.PLUS):
-            return HomDim(1, HomWitness("finite-finite", "plus", (m, n)))
-        return HomDim(0, HomWitness("finite-finite", None, (m, n)))
-    if isinstance(a, FiniteInd):
-        base = b.slot
-        j = base - a.shift
-        value = 1 if 0 <= j <= a.index else 0
-        return HomDim(value, HomWitness("finite-prufer", None, (base, j, a.index)))
-    if isinstance(b, FiniteInd):
-        base = a.slot + 2
-        j = base - b.shift
-        value = 1 if 0 <= j <= b.index else 0
-        return HomDim(value, HomWitness("prufer-finite", None, (base, j, b.index)))
-    value = 1 if b.slot <= a.slot else 0
-    return HomDim(value, HomWitness("prufer-prufer", None, (a.slot, b.slot)))
+    return _hom_dim("hom_dim", a, b, 0)
 
 
 def ext_dim(a: IndObject, b: IndObject) -> HomDim:
     """Dimension of Ext(a, b), computed as Hom(a, shift_object(b, 1))."""
-    return hom_dim(a, shift_object(b, 1))
+    return _hom_dim("ext_dim", a, b, 1)
 
 
 def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:
@@ -208,24 +259,11 @@ def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:
     Otherwise INDETERMINATE: this test is deliberately not a decision
     procedure.
     """
-    for name, obj in (("u", u), ("v", v), ("w", w)):
-        if not isinstance(obj, FiniteInd):
-            raise TypeError(
-                f"composite_nonzero is defined for finite objects only, "
-                f"{name} is {type(obj).__name__}"
-            )
-    if hom_dim(u, v).value != 1:
-        raise ValueError("composite_nonzero requires Hom(u, v) nonzero")
-    if hom_dim(v, w).value != 1:
-        raise ValueError("composite_nonzero requires Hom(v, w) nonzero")
-    su = FiniteInd(u.shift + 1, u.index)
-    sv = FiniteInd(v.shift + 1, v.index)
-    if (
-        h_region_contains(su, v, RegionPart.PLUS)
-        and h_region_contains(su, w, RegionPart.PLUS)
-        and h_region_contains(sv, w, RegionPart.PLUS)
-    ):
+    au = _finite_arc("composite_nonzero", "u", u)
+    av = _finite_arc("composite_nonzero", "v", v)
+    aw = _finite_arc("composite_nonzero", "w", w)
+    if _composite_true(au, av, aw):
         return Tristate.TRUE
-    if hom_dim(u, w).value == 0:
+    if _region(*au, *aw) is None:
         return Tristate.FALSE
     return Tristate.INDETERMINATE

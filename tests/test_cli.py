@@ -299,6 +299,21 @@ class TestErrorPaths:
         assert rc == 1
         assert "bad window" in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"generators": [{"kind": "fan"}]}, "generators[0].vertex: missing"),
+            ({"generators": [3]}, "generators[0]: expected an object, got 3"),
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, capsys, tmp_path, doc, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc, out, err = run_cli(capsys, "classify", "--config", str(p))
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hom", "--from", "f:0:0"])

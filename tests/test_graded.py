@@ -239,6 +239,99 @@ class TestPruferPruferTower:
     def test_matches_slot_comparison(self, m, n):
         assert prufer_prufer_tower(m, n, 20) == int(n <= m)
 
+    @pytest.mark.parametrize("gap", range(31, 41))
+    def test_gap_past_truncation_raises(self, gap):
+        # every outer stage is 0 here, a settled tower with a wrong value
+        with pytest.raises(TowerUnstableError):
+            prufer_prufer_tower(gap, 0, 30)
+
+    @pytest.mark.parametrize("truncation,longest", [(4, 3), (8, 6), (13, 9), (30, 22)])
+    def test_longest_settled_gap(self, truncation, longest):
+        # at N=4 the first gap past the bound is the truncation itself,
+        # where the tower used to settle on 0
+        assert prufer_prufer_tower(longest - 2, -2, truncation) == 1
+        with pytest.raises(TowerUnstableError):
+            prufer_prufer_tower(longest - 1, -2, truncation)
+
+
+def hammock(center, lo=-30, hi=30):
+    """Forward enumeration of both regions of a hom-hammock: iterate the
+    (m, n) box and emit the objects, as h_region_set does in
+    test_quiver.py.  Returns (minus, plus)."""
+    r, s = center.shift, center.index
+    minus, plus = set(), set()
+    for m in range(lo, hi + 1):
+        for n in range(max(lo, m + 2), hi + 1):
+            obj = FiniteInd(-n, n - m - 2)
+            if m <= -r - s - 3 and -r - s - 1 <= n <= -r - 1:
+                minus.add(obj)
+            if -r - s - 1 <= m <= -r - 1 and n >= -r + 1:
+                plus.add(obj)
+    return minus, plus
+
+
+class TestTowerFlagsAgainstEnumeration:
+    """Every stage dimension, transition flag and stable_from of the
+    N=20 towers for arcs in [-8, 8] and slots in [-4, 4], read off the
+    enumerated region sets instead of the closed forms."""
+
+    N = 20
+
+    @pytest.fixture(scope="class")
+    def hammocks(self):
+        cache = {}
+
+        def of(obj):
+            if obj not in cache:
+                cache[obj] = hammock(FiniteInd(obj.shift + 1, obj.index))
+            return cache[obj]
+
+        return of
+
+    @staticmethod
+    def settled_from(seq):
+        k = len(seq)
+        while k > 0 and seq[k - 1] == seq[-1]:
+            k -= 1
+        return k
+
+    def expected(self, source_of, dims, plus_probe, stages):
+        # Flag k: both stages nonzero and the composite criterion, i.e.
+        # both stages in the plus region of the probe and stage k + 1 in
+        # the plus region of stage k.
+        flags = tuple(
+            dims[k] == 1
+            and dims[k + 1] == 1
+            and stages[k] in plus_probe
+            and stages[k + 1] in plus_probe
+            and stages[k + 1] in source_of(stages[k])[1]
+            for k in range(len(stages) - 1)
+        )
+        stable = max(self.settled_from(dims), self.settled_from(flags))
+        return dims, flags, stable
+
+    @pytest.mark.parametrize("slot", range(-4, 5))
+    def test_direct_and_inverse(self, hammocks, slot):
+        stages = [FiniteInd(slot - k, k) for k in range(self.N + 1)]
+        for a in range(-8, 7):
+            for b in range(a + 2, 9):
+                y = FiniteInd(-b, b - a - 2)
+                minus, plus = hammocks(y)
+                dims = tuple(int(o in minus or o in plus) for o in stages)
+                want = self.expected(hammocks, dims, plus, stages)
+                t = build_hom_tower(y, slot, self.N)
+                got = (t.dims, t.transition_nonzero, truncated_colim(t).stable_from)
+                assert got == want, (y, slot)
+
+                dims = tuple(
+                    int(y in hammocks(o)[0] or y in hammocks(o)[1]) for o in stages
+                )
+                probe_plus = hammocks(FiniteInd(y.shift - 2, y.index))[1]
+                want = self.expected(hammocks, dims, probe_plus, stages)
+                t = build_inverse_hom_tower(y, slot, self.N)
+                got = (t.dims, t.transition_nonzero, truncated_lim(t).stable_from)
+                assert got == want, (y, slot)
+
 
 class TestTowerWedgeConsistency:
     @given(st.integers(-10, 10), st.integers(0, 8), st.integers(-5, 5))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infgon import (
+    FiniteArc,
     FiniteInd,
     HomDim,
     PruferInd,
@@ -207,6 +208,14 @@ class TestHomDim:
                     assert hom_dim(PruferInd(slot), x).value == int(
                         wedge_contains(slot + 2, x)
                     )
+
+    def test_non_objects_rejected_by_name(self):
+        with pytest.raises(TypeError, match="hom_dim .* a is FiniteArc"):
+            hom_dim(FiniteArc(0, 2), PruferInd(0))
+        with pytest.raises(TypeError, match="ext_dim .* b is FiniteArc"):
+            ext_dim(FiniteInd(0, 1), FiniteArc(0, 2))
+        with pytest.raises(TypeError, match="b is int"):
+            hom_dim(PruferInd(0), 3)
 
     @given(st.integers(-30, 30), st.integers(-30, 30))
     def test_prufer_pair_rule(self, a, b):
