@@ -15,9 +15,11 @@ from functools import partial
 from typing import Callable
 
 from .arcs import (
+    CrossResult,
     FiniteArc,
     InfiniteArc,
     arc_to_object,
+    arcs_cross,
     ext_via_crossing,
     object_to_arc,
     translate_arc,
@@ -291,6 +293,38 @@ def suite_shift_equivariance() -> tuple[bool, int, str]:
     return True, n, "arc translation and hom invariance under shift"
 
 
+def suite_family_maximality() -> tuple[bool, int, str]:
+    # classify certifies Fan, Zigzag and SplitFan maximal without a
+    # search; this re-checks that theorem over windows.  Members come
+    # from materialize and every decision is a plain arcs_cross, never
+    # the closed-form membership or crossing witnesses classify uses.
+    windows = (8, 12, 16)
+    families: list = [(Fan(v), v) for v in range(-3, 4)]
+    families += [(Zigzag(c), c) for c in range(-3, 4)]
+    families += [(SplitFan(p, p + d), p) for p in (-3, 0, 2) for d in range(5)]
+    n = 0
+    for g, c in families:
+        for w in windows:
+            members = materialize(ArcConfiguration([g]), (c - w, c + w))
+            for i, x in enumerate(members):
+                for y in members[i + 1 :]:
+                    if arcs_cross(x, y) is CrossResult.CROSS:
+                        return False, n, f"{g}: members {x} and {y} cross"
+                    n += 1
+            # in a window centred on the family, a non-member's crossing
+            # partner reaches at most one step past its ends, so the
+            # candidates keep a margin of two
+            have = set(members)
+            for cand in _finite_arcs(c - w + 2, c + w - 2):
+                if cand in have:
+                    continue
+                if not any(arcs_cross(cand, t) is CrossResult.CROSS for t in members):
+                    return False, n, f"{g}: {cand} crosses no member in window +-{w}"
+                n += 1
+    widths = ", ".join(str(w) for w in windows)
+    return True, n, f"{len(families)} families, centred windows of half-width {widths}"
+
+
 ALL_SUITES: list[tuple[str, Callable[[], tuple[bool, int, str]]]] = [
     ("crossing-ext-bridge", suite_crossing_ext_bridge),
     ("serre-duality", suite_serre_duality),
@@ -301,6 +335,7 @@ ALL_SUITES: list[tuple[str, Callable[[], tuple[bool, int, str]]]] = [
     ("overarc-witnesses", suite_overarc_witnesses),
     ("graded-duality", suite_graded_duality),
     ("shift-equivariance", suite_shift_equivariance),
+    ("family-maximality", suite_family_maximality),
 ]
 
 

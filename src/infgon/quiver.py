@@ -125,10 +125,15 @@ class Tristate(Enum):
 
 
 def shift_object(x: IndObject, t: int) -> IndObject:
-    """Apply the suspension t times (t may be negative)."""
+    """Apply the suspension t times (t may be negative).  Raises
+    TypeError when x is not a FiniteInd or PruferInd."""
     if isinstance(x, FiniteInd):
         return FiniteInd(x.shift + t, x.index)
-    return PruferInd(x.slot + t)
+    if isinstance(x, PruferInd):
+        return PruferInd(x.slot + t)
+    raise TypeError(
+        f"shift_object takes FiniteInd or PruferInd objects, x is {type(x).__name__}"
+    )
 
 
 def wedge_contains(base: int, obj: FiniteInd) -> bool:
@@ -137,8 +142,13 @@ def wedge_contains(base: int, obj: FiniteInd) -> bool:
     The wedge collects the finite objects Sigma^(base-j) X_k with
     0 <= j <= k; solving for j gives the one-line test below.  It is the
     exact region of finite objects with a nonzero map to the limit
-    object in slot `base`.
+    object in slot `base`.  Raises TypeError when obj is not a FiniteInd.
     """
+    if not isinstance(obj, FiniteInd):
+        raise TypeError(
+            f"wedge_contains is defined for finite objects only, "
+            f"obj is {type(obj).__name__}"
+        )
     j = base - obj.shift
     return 0 <= j <= obj.index
 

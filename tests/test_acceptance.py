@@ -1,8 +1,8 @@
-"""Acceptance gate: ten criteria, one test and one pass/fail line each.
+"""Acceptance gate: eleven criteria, one test and one pass/fail line each.
 
-Criteria 1 through 9 run the library's oracle-agreement suites with their
-time budgets; criterion 10 drives the command line for golden-output
-stability and the aggregate check command.
+Criteria 1 through 9 and 11 run the library's oracle-agreement suites
+with their time budgets; criterion 10 drives the command line for
+golden-output stability and the aggregate check command.
 """
 
 import json
@@ -25,6 +25,7 @@ BUDGETS = {
     "overarc-witnesses": 10.0,
     "graded-duality": 5.0,
     "shift-equivariance": 30.0,
+    "family-maximality": 10.0,
 }
 
 
@@ -114,3 +115,7 @@ def test_criterion_10_cli_golden_and_check(tmp_path):
     line = f"{'PASS' if rc == 0 else 'FAIL'} criterion-10 cli-golden-and-check"
     print(line)
     assert rc == 0
+
+
+def test_criterion_11_family_maximality():
+    run_criterion(11, "family-maximality")

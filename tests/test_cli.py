@@ -118,6 +118,24 @@ class TestClassify:
             "infinite_arc_at_0 satisfies_fountain_weak_verdict\n"
         )
 
+    def test_fan_spelled_twice(self, capsys, fan_config, tmp_path):
+        # SplitFan(0, 0) is Fan(0), so this is the fan document again
+        path = tmp_path / "fan_twice.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "generators": [
+                        {"kind": "fan", "vertex": 0},
+                        {"kind": "splitfan", "p": 0, "q": 0},
+                    ],
+                    "infinite_arcs": [0],
+                }
+            )
+        )
+        rc, out, _ = run_cli(capsys, "classify", "--config", str(path))
+        assert rc == 0
+        assert out == run_cli(capsys, "classify", "--config", fan_config)[1]
+
     def test_json(self, capsys, zig_config):
         rc, out, _ = run_cli(capsys, "classify", "--config", zig_config, "--json")
         assert rc == 0

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from infgon import configurations
 from infgon import (
     AddableArc,
     ArcConfiguration,
@@ -173,6 +174,12 @@ class TestMaximality:
     def test_big_families_certified(self):
         for gen in (Fan(0), Zigzag(0), SplitFan(0, 3)):
             assert maximality_check(cfg(gen), (-10, 10)) == CertifiedMaximal()
+        # explicit arcs that are members of the family change nothing
+        for c in (
+            cfg(Zigzag(2), Explicit({FiniteArc(0, 4), FiniteArc(-1, 4)})),
+            cfg(Fan(1), Explicit({FiniteArc(-3, 1), FiniteArc(1, 5)}), inf=[1]),
+        ):
+            assert maximality_check(c, (-4, 4)) == CertifiedMaximal()
 
     def test_explicit_always_extendable(self):
         got = maximality_check(cfg(Explicit({FiniteArc(0, 2)})), (-5, 5))
@@ -217,6 +224,56 @@ class TestMaximality:
         c = cfg(Zigzag(0), Explicit({FiniteArc(20, 22)}))
         got = maximality_check(c, (-4, 4))
         assert isinstance(got, (WindowVerified, AddableArc))
+
+
+class TestClosedFormMaximality:
+    """A configuration with a family is certified maximal in closed form;
+    the window re-check lives in the family-maximality acceptance suite."""
+
+    CASES = [
+        cfg(Fan(0), inf=[0]),
+        cfg(Zigzag(0)),
+        cfg(SplitFan(0, 3)),
+        cfg(Zigzag(0), Explicit({FiniteArc(-1, 1)})),
+    ]
+
+    @pytest.mark.parametrize("c", CASES)
+    def test_classify_never_scans_the_window_for_a_family(self, c, monkeypatch):
+        want = classify(c, (-12, 12))
+
+        def no_scan(window):
+            raise AssertionError(f"window scanned: {window}")
+
+        monkeypatch.setattr(configurations, "_candidates", no_scan)
+        assert classify(c, (-(10**6), 10**6)) == want
+
+    @pytest.mark.parametrize(
+        "gens", [[Fan(0), SplitFan(0, 0)], [SplitFan(0, 0), Fan(0)]]
+    )
+    def test_degenerate_splitfan_is_the_fan(self, gens, monkeypatch):
+        # SplitFan(0, 0) spells Fan(0): one family, so no pair search,
+        # which would widen its windows up to 2**14 without a crossing
+        def no_search(g1, g2):
+            raise AssertionError(f"pair search for {g1} and {g2}")
+
+        monkeypatch.setattr(configurations, "_generator_pair_witness", no_search)
+        r = classify(ArcConfiguration(gens, [0]))
+        assert r.verdict is Verdict.CLUSTER_TILTING
+        assert r.reason.facts[0] == "maximal_certified"
+
+    def test_family_with_member_arcs_reports_certified(self):
+        # a family plus some of its own arcs is just the family
+        zig = classify(cfg(Zigzag(0), Explicit({FiniteArc(-1, 1)})), (-12, 12))
+        assert render_classification(zig) == (
+            "VERDICT WCT_LocallyFinite\n"
+            "WITNESS reason certified\n"
+            "WITNESS certified maximal_certified locally_finite no_infinite_arc\n"
+        )
+        assert zig == classify(cfg(Zigzag(0)), (-12, 12))
+        fan = cfg(Fan(3), Explicit({FiniteArc(-1, 3), FiniteArc(3, 7)}), inf=[3])
+        got = classify(fan, (-9, 15))
+        assert got == classify(cfg(Fan(3), inf=[3]), (-9, 15))
+        assert got.reason.facts[0] == "maximal_certified"
 
 
 class TestClassify:

@@ -94,6 +94,12 @@ class TestShift:
         e = PruferInd(slot)
         assert shift_object(shift_object(e, t), -t) == e
 
+    def test_non_objects_rejected_by_name(self):
+        with pytest.raises(TypeError, match="shift_object .* x is FiniteArc"):
+            shift_object(FiniteArc(0, 2), 1)
+        with pytest.raises(TypeError, match="x is int"):
+            shift_object(3, 1)
+
 
 class TestHRegions:
     @pytest.mark.parametrize("part", [RegionPart.MINUS, RegionPart.PLUS])
@@ -141,6 +147,12 @@ class TestWedge:
             oracle = wedge_set(base, 40)
             for obj in PROBES:
                 assert wedge_contains(base, obj) == (obj in oracle), (base, obj)
+
+    def test_non_finite_objects_rejected_by_name(self):
+        with pytest.raises(TypeError, match="wedge_contains .* obj is PruferInd"):
+            wedge_contains(0, PruferInd(0))
+        with pytest.raises(TypeError, match="obj is FiniteArc"):
+            wedge_contains(0, FiniteArc(0, 2))
 
     @given(st.integers(-30, 30), st.integers(0, 25), st.integers(0, 25))
     def test_slice_objects_are_members(self, base, i, j):
