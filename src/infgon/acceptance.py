@@ -207,34 +207,46 @@ def suite_classification_fixtures() -> tuple[bool, int, str]:
 
 
 def suite_overarc_witnesses() -> tuple[bool, int, str]:
-    config = ArcConfiguration([Zigzag(0)], [])
+    # strong_overarc is a closed form; here every answer is compared with
+    # the least enclosing arc of a window materialization, and the
+    # antichain is re-checked through hom_dim.
     n = 0
-    for t in materialize(config, (-10, 10)):
-        over = strong_overarc(config, t)
-        if not (over.a < t.a and over.b > t.b):
-            return False, n, f"bad overarc {over} for {t}"
-        n += 1
-    for h in range(-10, 11):
-        over = strong_overarc(config, h)
-        if not (over.a < h < over.b):
-            return False, n, f"bad overarc {over} for vertex {h}"
-        n += 1
-    chain = overarc_antichain(config, FiniteArc(-1, 1), 20)
-    if len(chain) != 20:
-        return False, n, "antichain came back short"
-    # overarc_antichain re-verifies hom dimensions internally; do it
-    # again here so this suite does not lean on that code path.
-    limit = PruferInd(1 - 2)
-    for i, t1 in enumerate(chain):
-        if hom_dim(arc_to_object(t1), limit).value != 1:
-            return False, n, f"no map from {t1} to the limit object"
-        n += 1
-        for t2 in chain[i + 1 :]:
-            o1, o2 = arc_to_object(t1), arc_to_object(t2)
-            if hom_dim(o1, o2).value != 0 or hom_dim(o2, o1).value != 0:
-                return False, n, f"comparable pair {t1}, {t2}"
+    centres = (-4, 0, 3)
+    for c in centres:
+        config = ArcConfiguration([Zigzag(c)], [])
+        have = set(materialize(config, (c - 24, c + 24)))
+        targets: list = list(materialize(config, (c - 10, c + 10)))
+        targets += range(c - 10, c + 11)
+        for t in targets:
+            p, q = (t.a, t.b) if isinstance(t, FiniteArc) else (t, t)
+            over = strong_overarc(config, t)
+            if over not in have or not (over.a < p and over.b > q):
+                return False, n, f"Zigzag({c}): bad overarc {over} for {t}"
+            # an enclosing arc no longer than `over` lies in this window
+            window = (q + 1 - over.span, p - 1 + over.span)
+            least = min(
+                (u for u in materialize(config, window) if u.a < p and u.b > q),
+                key=lambda u: (u.span, u.a),
+            )
+            if over != least:
+                return False, n, f"Zigzag({c}): {over} for {t}, least is {least}"
             n += 1
-    return True, n, "overarcs over the window plus a length-20 antichain"
+        seed = FiniteArc(c - 1, c + 1)
+        chain = overarc_antichain(config, seed, 20)
+        if len(chain) != 20:
+            return False, n, "antichain came back short"
+        limit = PruferInd(-seed.a - 2)
+        for i, t1 in enumerate(chain):
+            if hom_dim(arc_to_object(t1), limit).value != 1:
+                return False, n, f"no map from {t1} to the limit object"
+            n += 1
+            for t2 in chain[i + 1 :]:
+                o1, o2 = arc_to_object(t1), arc_to_object(t2)
+                if hom_dim(o1, o2).value != 0 or hom_dim(o2, o1).value != 0:
+                    return False, n, f"comparable pair {t1}, {t2}"
+                n += 1
+    shown = ", ".join(str(c) for c in centres)
+    return True, n, f"least overarcs and length-20 antichains of Zigzag({shown})"
 
 
 def suite_graded_duality() -> tuple[bool, int, str]:

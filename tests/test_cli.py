@@ -175,6 +175,12 @@ class TestWitness:
         )
         assert (rc, out) == (0, "overarc -1,1\n")
 
+    def test_overarc_of_a_far_integer(self, capsys, zig_config):
+        rc, out, _ = run_cli(
+            capsys, "witness", "overarc", "--config", zig_config, "--target", "70000"
+        )
+        assert (rc, out) == (0, "overarc -70001,70001\n")
+
     def test_antichain(self, capsys, zig_config):
         rc, out, _ = run_cli(
             capsys,
@@ -390,3 +396,28 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 0
         assert proc.stdout == "object f:0:0\narc -2,0\n"
+
+    def test_far_apart_families_classify_at_once(self, tmp_path):
+        path = tmp_path / "two_fans.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "generators": [
+                        {"kind": "fan", "vertex": 0},
+                        {"kind": "fan", "vertex": 5000},
+                    ]
+                }
+            )
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "infgon.cli", "classify", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "VERDICT NotWCT\n"
+            "WITNESS reason crossing_pair\n"
+            "WITNESS crossing -2,0 x -1,5000\n"
+        )

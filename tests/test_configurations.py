@@ -6,9 +6,14 @@ confront them with window materializations, which replay the same
 questions by exhaustive pairwise crossing scans.
 """
 
+import dataclasses
 import json
+import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infgon import configurations
 from infgon import (
@@ -42,6 +47,7 @@ from infgon import (
     overarc_antichain,
     render_classification,
     strong_overarc,
+    translate_arc,
 )
 
 
@@ -123,6 +129,9 @@ class TestNoncrossing:
             (cfg(Fan(0), Fan(2)), (FiniteArc(-2, 0), FiniteArc(-1, 2))),
             (cfg(Fan(0), Zigzag(0)), (FiniteArc(-2, 0), FiniteArc(-1, 1))),
             (cfg(Zigzag(0), Zigzag(5)), (FiniteArc(-1, 1), FiniteArc(0, 9))),
+            # the least pair: (0, 2) x (1, 8) starts further right
+            (cfg(Fan(0), Zigzag(5)), (FiniteArc(-2, 0), FiniteArc(-1, 10))),
+            (cfg(Fan(0), Fan(5000)), (FiniteArc(-2, 0), FiniteArc(-1, 5000))),
             (
                 cfg(Explicit({FiniteArc(0, 2), FiniteArc(1, 3)})),
                 (FiniteArc(0, 2), FiniteArc(1, 3)),
@@ -188,6 +197,9 @@ class TestMaximality:
     def test_empty_configuration_extendable(self):
         got = maximality_check(cfg(Explicit(set())), (-3, 3))
         assert got == AddableArc(FiniteArc(-3, -1))
+        # a window too narrow for an arc: the arc from its left end
+        got = maximality_check(cfg(Explicit(set())), (3, 4))
+        assert got == AddableArc(FiniteArc(3, 5))
 
     def test_addable_arc_really_crosses_nothing(self):
         c = cfg(Explicit({FiniteArc(0, 2)}))
@@ -251,8 +263,8 @@ class TestClosedFormMaximality:
         "gens", [[Fan(0), SplitFan(0, 0)], [SplitFan(0, 0), Fan(0)]]
     )
     def test_degenerate_splitfan_is_the_fan(self, gens, monkeypatch):
-        # SplitFan(0, 0) spells Fan(0): one family, so no pair search,
-        # which would widen its windows up to 2**14 without a crossing
+        # SplitFan(0, 0) spells Fan(0): one family, so no crossing pair
+        # of two families is sought
         def no_search(g1, g2):
             raise AssertionError(f"pair search for {g1} and {g2}")
 
@@ -274,6 +286,133 @@ class TestClosedFormMaximality:
         got = classify(fan, (-9, 15))
         assert got == classify(cfg(Fan(3), inf=[3]), (-9, 15))
         assert got.reason.facts[0] == "maximal_certified"
+
+
+def distinct_family_pairs(params, gaps):
+    fams = [Fan(v) for v in params] + [Zigzag(c) for c in params]
+    fams += [SplitFan(p, p + d) for p in params for d in gaps]
+
+    def canon(g):
+        return Fan(g.p) if isinstance(g, SplitFan) and g.p == g.q else g
+
+    return [(g1, g2) for g1 in fams for g2 in fams if canon(g1) != canon(g2)]
+
+
+class TestPairWitness:
+    """Two distinct families report their crossing pair least by
+    (t1.span, t1.a, t2.span, t2.a), with t1 from the first family."""
+
+    def test_lexicographic_minimum_over_a_window(self):
+        window = (-40, 40)
+        mats = {}
+        for g1, g2 in distinct_family_pairs(range(-3, 4), range(5)):
+            for g in (g1, g2):
+                if g not in mats:
+                    arcs = materialize(cfg(g), window)
+                    mats[g] = sorted(arcs, key=lambda t: (t.span, t.a))
+            want = None
+            for t1 in mats[g1]:
+                partners = [
+                    t2 for t2 in mats[g2] if arcs_cross(t1, t2) is CrossResult.CROSS
+                ]
+                if partners:
+                    want = (t1, partners[0])
+                    break
+            assert noncrossing_check(cfg(g1, g2)) == want, (g1, g2)
+
+
+class TestBoundedWork:
+    """No witness depends on a window: the work is bounded by the size of
+    the input, not by its coordinates."""
+
+    def test_far_explicit_arc_against_a_zigzag(self):
+        far = FiniteArc(10**6, 10**6 + 2)
+        start = time.perf_counter()
+        r = classify(cfg(Zigzag(0), Explicit([far])))
+        assert time.perf_counter() - start < 0.5
+        assert r.reason.crossing == (far, FiniteArc(-(10**6) - 1, 10**6 + 1))
+
+    def test_no_witness_materializes_a_window(self, monkeypatch):
+        def no_window(g, window):
+            raise AssertionError(f"window {window} materialized for {g}")
+
+        monkeypatch.setattr(configurations, "_materialize_generator", no_window)
+        gens = [Fan(0), Fan(9), Zigzag(0), Zigzag(-7), SplitFan(0, 3), SplitFan(-5, 6)]
+        for g1 in gens:
+            for g2 in gens:
+                if g1 != g2:
+                    assert noncrossing_check(cfg(g1, g2)) is not None
+            for arc in (FiniteArc(-30, -27), FiniteArc(1, 4), FiniteArc(-2, 40)):
+                if not configurations._family_member(g1, arc):
+                    assert noncrossing_check(cfg(g1, Explicit([arc]))) is not None
+        z = cfg(Zigzag(3))
+        assert strong_overarc(z, FiniteArc(2, 4)) == FiniteArc(1, 5)
+        assert strong_overarc(z, -100) == FiniteArc(-101, 106)
+        assert overarc_antichain(z, FiniteArc(2, 4), 2) == [
+            FiniteArc(1, 5),
+            FiniteArc(0, 6),
+        ]
+
+
+coords = st.integers(-6, 6)
+finite_arcs = st.builds(lambda a, d: FiniteArc(a, a + d), coords, st.integers(2, 6))
+generators = st.one_of(
+    st.builds(Explicit, st.frozensets(finite_arcs, max_size=4)),
+    st.builds(Fan, coords),
+    st.builds(Zigzag, coords),
+    st.builds(lambda p, d: SplitFan(p, p + d), coords, st.integers(0, 4)),
+)
+configs = st.builds(
+    ArcConfiguration, st.lists(generators, max_size=3), st.lists(coords, max_size=2)
+)
+
+
+def translate_generator(g, t):
+    if isinstance(g, Explicit):
+        return Explicit(translate_arc(x, t) for x in g.arcs)
+    if isinstance(g, Fan):
+        return Fan(g.vertex + t)
+    if isinstance(g, Zigzag):
+        return Zigzag(g.center + t)
+    return SplitFan(g.p + t, g.q + t)
+
+
+def translate_reason(r, t):
+    def at(v):
+        return None if v is None else v + t
+
+    return dataclasses.replace(
+        r,
+        crossing=r.crossing and tuple(translate_arc(x, t) for x in r.crossing),
+        addable=r.addable and translate_arc(r.addable, t),
+        infinite_slots=tuple(m + t for m in r.infinite_slots),
+        fountain_vertex=at(r.fountain_vertex),
+        profile=tuple((v + t, fl) for v, fl in r.profile),
+        facts=tuple(
+            re.sub(r"(?<=_at_)-?\d+", lambda m: str(int(m.group()) + t), f)
+            for f in r.facts
+        ),
+    )
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(configs, coords, st.integers(0, 12), st.integers(-50, 50))
+    def test_classify_commutes_with_translation(self, c, lo, width, t):
+        moved = ArcConfiguration(
+            [translate_generator(g, t) for g in c.generators],
+            [m + t for m in c.infinite_arcs],
+        )
+        want = classify(c, (lo, lo + width))
+        got = classify(moved, (lo + t, lo + width + t))
+        assert got.verdict is want.verdict
+        assert got.reason == translate_reason(want.reason, t)
+
+    @settings(max_examples=300)
+    @given(configs)
+    def test_dict_round_trip(self, c):
+        doc = json.loads(json.dumps(configuration_to_dict(c)))
+        assert configuration_from_dict(doc) == c
 
 
 class TestClassify:
@@ -398,6 +537,27 @@ class TestStrongOverarc:
     def test_rejects_foreign_target_arc(self):
         with pytest.raises(ValueError):
             strong_overarc(cfg(Zigzag(0)), FiniteArc(0, 2))
+
+    def test_far_targets_have_no_search_bound(self):
+        z = cfg(Zigzag(0))
+        assert strong_overarc(z, 70000) == FiniteArc(-70001, 70001)
+        assert strong_overarc(z, -70000) == FiniteArc(-70001, 70000)
+        assert strong_overarc(z, FiniteArc(-70000, 70000)) == FiniteArc(-70001, 70001)
+        assert strong_overarc(cfg(Zigzag(5)), 10**9) == FiniteArc(9 - 10**9, 10**9 + 1)
+
+    @pytest.mark.parametrize("c", range(-3, 4))
+    def test_least_enclosing_member_of_a_window(self, c):
+        # brute force: the least enclosing arc of a wide materialization
+        z = cfg(Zigzag(c))
+        members = materialize(z, (c - 30, c + 30))
+        arcs = [(t, t.a, t.b) for t in members if c - 10 <= t.a and t.b <= c + 10]
+        points = [(h, h, h) for h in range(c - 10, c + 11)]
+        for target, p, q in arcs + points:
+            want = min(
+                (t for t in members if t.a < p and t.b > q),
+                key=lambda t: (t.span, t.a),
+            )
+            assert strong_overarc(z, target) == want, target
 
 
 class TestOverarcAntichain:
