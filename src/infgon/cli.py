@@ -5,6 +5,10 @@ Arcs are written "a,b" or "m,inf"; objects may also be written directly
 as "f:SHIFT:INDEX" (finite) or "p:SLOT" (limit object).  Output is
 human-readable lines by default and a versioned JSON document with
 --json.  Exit status: 0 success, 1 domain error, 2 usage error.
+
+Each handler imports the layers its command runs, so a call that needs
+only arcs and the quiver never loads configurations, towers, diagrams or
+the oracle suites.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import re
 import sys
 from typing import Optional
 
-from .approximations import approximation_report
 from .arcs import (
     Arc,
     FiniteArc,
@@ -25,16 +28,6 @@ from .arcs import (
     object_to_arc,
     parse_arc,
 )
-from .configurations import (
-    Reason,
-    classify,
-    load_configuration,
-    overarc_antichain,
-    render_classification,
-    strong_overarc,
-)
-from .diagram import render_svg
-from .graded import TowerUnstableError
 from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, ext_dim, hom_dim
 
 SCHEMA = "infgon/1"
@@ -124,7 +117,7 @@ def _witness_doc(w: HomWitness) -> dict:
     return {"rule": w.rule, "region": w.region, "params": params}
 
 
-def _reason_doc(r: Reason) -> dict:
+def _reason_doc(r) -> dict:
     doc: dict = {"kind": r.kind.value}
     if r.crossing is not None:
         doc["crossing"] = [format_arc(r.crossing[0]), format_arc(r.crossing[1])]
@@ -217,6 +210,8 @@ def _cmd_cross(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .configurations import classify, load_configuration, render_classification
+
     config = load_configuration(args.config)
     window = _parse_window(args.window)
     cls = classify(config, window)
@@ -235,8 +230,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # Only this command needs the suites; importing them lazily keeps
-    # every other call from paying for the import.
     from .acceptance import run_all
 
     results = run_all(tower_truncation=args.truncation)
@@ -268,6 +261,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .configurations import load_configuration, overarc_antichain, strong_overarc
+
     config = load_configuration(args.config)
     if args.which == "overarc":
         if args.target is None:
@@ -313,7 +308,8 @@ def _cmd_witness(args) -> int:
             for t in chain:
                 print(f"member {format_arc(t)}")
         return 0
-    # approximation
+    from .approximations import approximation_report
+
     if args.d is None:
         raise ValueError("witness approximation needs --d")
     d = _parse_object(args.d)
@@ -354,6 +350,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .configurations import load_configuration
+    from .diagram import render_svg
+
     config = load_configuration(args.config)
     window = _parse_window(args.window)
     svg = render_svg(config, window, highlight_crossings=args.highlight_crossings)
@@ -465,7 +464,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_absorb_negative_values(list(argv)))
     try:
         return args.handler(args)
-    except (ValueError, TowerUnstableError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # incl. TowerUnstableError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -559,7 +559,6 @@ def maximality_check(
 
 class Verdict(Enum):
     WCT_LOCALLY_FINITE = "WCT_LocallyFinite"
-    WCT_FOUNTAIN_PLUS_INFINITE = "WCT_FountainPlusInfinite"
     CLUSTER_TILTING = "ClusterTilting"
     NOT_WCT = "NotWCT"
 

@@ -195,6 +195,17 @@ class TestTextForms:
         assert format_arc(arc) == text
         assert parse_arc(format_arc(arc)) == arc
 
+    @given(
+        st.one_of(
+            st.builds(
+                lambda a, k: FiniteArc(a, a + k), st.integers(), st.integers(min_value=2)
+            ),
+            st.builds(InfiniteArc, st.integers()),
+        )
+    )
+    def test_text_round_trip_property(self, arc):
+        assert parse_arc(format_arc(arc)) == arc
+
     def test_parse_accepts_spaces(self):
         assert parse_arc(" -2 , 0 ") == FiniteArc(-2, 0)
 

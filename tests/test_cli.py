@@ -4,14 +4,20 @@ Runs the entry point in-process through main(argv) and captures stdout;
 byte-identity across repeated runs backs the golden-file guarantee.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infgon import acceptance
-from infgon.cli import main
+from infgon.cli import _parse_object, format_object, main
+from infgon.quiver import FiniteInd, PruferInd
 
 FAN_DOC = {"generators": [{"kind": "fan", "vertex": 0}], "infinite_arcs": [0]}
 ZIG_DOC = {"generators": [{"kind": "zigzag", "center": 0}], "infinite_arcs": []}
@@ -421,3 +427,193 @@ class TestModuleInvocation:
             "WITNESS reason crossing_pair\n"
             "WITNESS crossing -2,0 x -1,5000\n"
         )
+
+
+# Runs main(argv) in a fresh interpreter and prints its exit code and the
+# infgon submodules it loaded, as one JSON line after the command's output.
+_LOADED_PROBE = (
+    "import json, sys\n"
+    "from infgon.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('infgon.'))]))\n"
+)
+
+_HEAVY = ("graded", "approximations", "diagram")
+
+
+def _loaded_modules(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    return {name.removeprefix("infgon.") for name in loaded}
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--from", "f:0:0", "--to", "p:1"],
+            ["ext", "--from", "f:0:0", "--to", "f:1:0", "--json"],
+            ["coord", "--from", "0,2"],
+            ["cross", "--a", "0,2", "--b", "1,3"],
+        ],
+    )
+    def test_kernel_commands_load_only_the_kernel(self, argv):
+        loaded = _loaded_modules(argv)
+        assert {"quiver", "arcs", "cli"} <= loaded
+        assert loaded.isdisjoint(("configurations", "acceptance", *_HEAVY))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["witness", "overarc", "--target", "-1,1"],
+            ["witness", "antichain", "--seed", "-1,1", "--count", "2"],
+        ],
+    )
+    def test_configuration_commands_skip_towers_and_drawing(self, argv, zig_config):
+        loaded = _loaded_modules([*argv, "--config", zig_config])
+        assert "configurations" in loaded
+        assert loaded.isdisjoint(("acceptance", *_HEAVY))
+
+
+# --- properties at the command-line boundary --------------------------------
+
+_DOCS = {
+    "fan.json": FAN_DOC,
+    "zig.json": ZIG_DOC,
+    "split.json": {"generators": [{"kind": "splitfan", "p": 0, "q": 3}]},
+    "explicit.json": {"generators": [{"kind": "explicit", "arcs": [[0, 2], [-3, 5]]}]},
+    "crossing.json": {
+        "generators": [{"kind": "fan", "vertex": 0}, {"kind": "zigzag", "center": 2}]
+    },
+    "bad_fan.json": {"generators": [{"kind": "fan"}]},
+    "bad_generator.json": {"generators": [3]},
+    "bad_slots.json": {"generators": [], "infinite_arcs": ["x"]},
+}
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    for name, doc in _DOCS.items():
+        (root / name).write_text(json.dumps(doc))
+    (root / "not_json.json").write_text("{generators")
+    (root / "a_directory").mkdir()
+    names = (*_DOCS, "not_json.json", "a_directory", "missing.json")
+    return {name: str(root / name) for name in names}
+
+
+_ints = st.integers(-40, 40)
+_junk = st.text(alphabet="-0123456789,:finpz ", max_size=8)
+_arc_text = st.one_of(
+    st.builds("{},{}".format, _ints, _ints),
+    st.builds("{},inf".format, _ints),
+    _junk,
+)
+_object_text = st.one_of(
+    _arc_text,
+    st.builds("f:{}:{}".format, _ints, _ints),
+    st.builds("p:{}".format, _ints),
+)
+# Windows stay small: an Explicit-only classification scans its window.
+_window_text = st.one_of(
+    st.builds("{}:{}".format, st.integers(-30, 30), st.integers(-30, 30)),
+    _junk,
+)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def _argv(draw, configs):
+    command = draw(
+        st.sampled_from(
+            ["coord", "hom", "ext", "cross", "classify", "check", "witness", "render"]
+        )
+    )
+    # the two valid documents most witnesses need come up half the time
+    valid = st.sampled_from([configs["fan.json"], configs["zig.json"]])
+    any_path = st.sampled_from(sorted(configs.values()))
+    config = ["--config", draw(st.one_of(valid, any_path))]
+    if command == "coord":
+        args = ["--from", draw(_object_text)]
+    elif command in ("hom", "ext"):
+        args = ["--from", draw(_object_text), *draw(_flag("--to", _object_text))]
+    elif command == "cross":
+        args = ["--a", draw(_arc_text), "--b", draw(_arc_text)]
+    elif command == "classify":
+        args = [*config, *draw(_flag("--window", _window_text))]
+    elif command == "check":
+        truncation = st.one_of(st.builds(str, st.integers(-5, 80)), _junk)
+        args = draw(_flag("--truncation", truncation))
+    elif command == "witness":
+        which = draw(st.sampled_from(["overarc", "antichain", "approximation", "bogus"]))
+        near = st.integers(-4, 4)
+        member = st.builds(lambda a, k: f"{a},{a + k}", near, st.integers(2, 6))
+        flags = {
+            "--target": st.one_of(member, st.builds(str, near), _arc_text),
+            "--seed": st.one_of(member, _arc_text),
+            "--count": st.one_of(st.builds(str, st.integers(-3, 12)), _junk),
+            "--d": _object_text,
+            "--window": _window_text,
+        }
+        # each witness usually gets the flag it needs
+        needs = {"overarc": "--target", "antichain": "--seed", "approximation": "--d"}
+        args = [which, *config]
+        for name, values in flags.items():
+            if name == needs.get(which) and draw(st.integers(0, 4)):
+                args += [name, draw(values)]
+            else:
+                args += draw(_flag(name, values))
+    else:
+        args = [*config, *draw(_flag("--window", _window_text))]
+        if draw(st.booleans()):
+            args.append("--highlight-crossings")
+        if draw(st.booleans()):
+            args += ["--out", configs["a_directory"]]  # the write fails
+    if draw(st.booleans()):
+        args.append("--json")
+    return [command, *args]
+
+
+def _stub_suite(truncation=60):
+    return True, 1, f"N={truncation}"
+
+
+class TestBoundaryProperties:
+    @settings(max_examples=300, deadline=2000)
+    @given(data=st.data())
+    def test_every_argv_exits_cleanly(self, config_paths, data):
+        argv = data.draw(_argv(config_paths))
+        out, err = io.StringIO(), io.StringIO()
+        suites = [("tower-colim-vs-wedge", _stub_suite)]
+        with (
+            mock.patch.object(acceptance, "ALL_SUITES", suites),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2), (argv, err.getvalue())
+        if rc == 1:
+            assert err.getvalue().startswith("error: "), argv
+
+    @given(
+        st.one_of(
+            st.builds(FiniteInd, st.integers(), st.integers(min_value=0)),
+            st.builds(PruferInd, st.integers()),
+        )
+    )
+    def test_object_text_round_trip(self, x):
+        assert _parse_object(format_object(x)) == x
