@@ -20,7 +20,6 @@ from .arcs import (
     InfiniteArc,
     arc_to_object,
     arcs_cross,
-    ext_via_crossing,
     object_to_arc,
     translate_arc,
 )
@@ -55,7 +54,7 @@ from .graded import (
 from .quiver import (
     FiniteInd,
     PruferInd,
-    ext_dim,
+    _region,
     hom_dim,
     shift_object,
     wedge_contains,
@@ -80,25 +79,31 @@ def _finite_arcs(lo: int, hi: int) -> list[FiniteArc]:
 
 
 def suite_crossing_ext_bridge() -> tuple[bool, int, str]:
+    # Ext(x, y) = Hom(x, Sigma y) on the hom kernel, where Sigma moves an
+    # arc by -1, against the plain crossing test; neither side calls the
+    # other.
     arcs = _finite_arcs(-25, 25)
-    objs = [arc_to_object(t) for t in arcs]
+    up = [(y.a - 1, y.b - 1) for y in arcs]
+    cross = CrossResult.CROSS
     n = 0
-    for x, ox in zip(arcs, objs):
-        for y, oy in zip(arcs, objs):
-            bridge = ext_via_crossing(x, y).value
-            if bridge != ext_dim(ox, oy).value:
+    for x in arcs:
+        i, j = x.a, x.b
+        for y, (m, k) in zip(arcs, up):
+            if (arcs_cross(x, y) is cross) is (_region(i, j, m, k) is None):
                 return False, n, f"mismatch at {x}, {y}"
             n += 1
     return True, n, f"{len(arcs)} arcs, every ordered pair"
 
 
 def suite_serre_duality() -> tuple[bool, int, str]:
-    objs = [arc_to_object(t) for t in _finite_arcs(-25, 25)]
+    # Hom(a, b) against Hom(b, Sigma^2 a) on the hom kernel; Sigma^2
+    # moves an arc by -2.
+    arcs = [(t.a, t.b) for t in _finite_arcs(-25, 25)]
     n = 0
-    for a in objs:
-        for b in objs:
-            if hom_dim(a, b).value != hom_dim(b, shift_object(a, 2)).value:
-                return False, n, f"mismatch at {a}, {b}"
+    for i, j in arcs:
+        for m, k in arcs:
+            if (_region(i, j, m, k) is None) is not (_region(m, k, i - 2, j - 2) is None):
+                return False, n, f"mismatch at arcs ({i}, {j}), ({m}, {k})"
             n += 1
     return True, n, "hom(a,b) against hom(b, double shift of a)"
 
@@ -287,8 +292,13 @@ def suite_graded_duality() -> tuple[bool, int, str]:
 
 
 def suite_shift_equivariance() -> tuple[bool, int, str]:
-    objs: list = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
-    objs.extend(PruferInd(m) for m in range(-8, 9))
+    # Finite x finite pairs compare the hom kernel on the arcs of a, b and
+    # of their shifts.  The arc translation and every pair with a limit
+    # object go through the public functions.
+    finite = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
+    limits = [PruferInd(m) for m in range(-8, 9)]
+    objs = finite + limits
+    ends = [(x.a, x.b) for x in map(object_to_arc, finite)]
     n = 0
     for t in range(-5, 6):
         for a in objs:
@@ -296,10 +306,16 @@ def suite_shift_equivariance() -> tuple[bool, int, str]:
             if object_to_arc(shift_object(a, t)) != arc_route:
                 return False, n, f"translation mismatch at {a}, t={t}"
             n += 1
-        shifted = [shift_object(o, t) for o in objs]
-        for a, sa in zip(objs, shifted):
-            for b, sb in zip(objs, shifted):
-                if hom_dim(a, b).value != hom_dim(sa, sb).value:
+        shifted = {o: shift_object(o, t) for o in objs}
+        moved = [(x.a, x.b) for x in (object_to_arc(shifted[o]) for o in finite)]
+        for a, (i, j), (si, sj) in zip(finite, ends, moved):
+            for b, (m, k), (sm, sk) in zip(finite, ends, moved):
+                if (_region(i, j, m, k) is None) is not (_region(si, sj, sm, sk) is None):
+                    return False, n, f"hom not shift-stable at {a}, {b}, t={t}"
+                n += 1
+        for a in objs:
+            for b in objs if isinstance(a, PruferInd) else limits:
+                if hom_dim(a, b).value != hom_dim(shifted[a], shifted[b]).value:
                     return False, n, f"hom not shift-stable at {a}, {b}, t={t}"
                 n += 1
     return True, n, "arc translation and hom invariance under shift"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd
+from .quiver import FiniteInd, HomDim, IndObject, PruferInd, _answer
 
 __all__ = [
     "FiniteArc",
@@ -63,6 +63,16 @@ class InfiniteArc:
 Arc = Union[FiniteArc, InfiniteArc]
 
 
+def _not_arc(func: str, **args: object) -> TypeError:
+    # The error for the first argument that is not an arc.
+    name, x = next(
+        (k, v) for k, v in args.items() if not isinstance(v, (FiniteArc, InfiniteArc))
+    )
+    return TypeError(
+        f"{func} takes FiniteArc or InfiniteArc arcs, {name} is {type(x).__name__}"
+    )
+
+
 class CrossResult(Enum):
     CROSS = "Cross"
     NO_CROSS = "NoCross"
@@ -70,10 +80,16 @@ class CrossResult(Enum):
 
 
 def object_to_arc(x: IndObject) -> Arc:
-    """Arc coordinates of an indecomposable."""
+    """Arc coordinates of an indecomposable.  Raises TypeError when x is
+    not a FiniteInd or PruferInd."""
     if isinstance(x, FiniteInd):
         return FiniteArc(-x.shift - x.index - 2, -x.shift)
-    return InfiniteArc(-x.slot - 2)
+    try:
+        return InfiniteArc(-x.slot - 2)
+    except AttributeError:
+        raise TypeError(
+            f"object_to_arc takes FiniteInd or PruferInd objects, x is {type(x).__name__}"
+        ) from None
 
 
 def arc_to_object(arc: Arc) -> IndObject:
@@ -81,7 +97,10 @@ def arc_to_object(arc: Arc) -> IndObject:
     if isinstance(arc, FiniteArc):
         # FiniteArc already enforces b - a >= 2, so the index is >= 0.
         return FiniteInd(-arc.b, arc.b - arc.a - 2)
-    return PruferInd(-arc.m - 2)
+    try:
+        return PruferInd(-arc.m - 2)
+    except AttributeError:
+        raise _not_arc("arc_to_object", arc=arc) from None
 
 
 def translate_arc(arc: Arc, delta: int) -> Arc:
@@ -89,7 +108,10 @@ def translate_arc(arc: Arc, delta: int) -> Arc:
     translates its arc by -t."""
     if isinstance(arc, FiniteArc):
         return FiniteArc(arc.a + delta, arc.b + delta)
-    return InfiniteArc(arc.m + delta)
+    try:
+        return InfiniteArc(arc.m + delta)
+    except AttributeError:
+        raise _not_arc("translate_arc", arc=arc) from None
 
 
 def arcs_cross(x: Arc, y: Arc) -> CrossResult:
@@ -98,16 +120,22 @@ def arcs_cross(x: Arc, y: Arc) -> CrossResult:
     Finite (i, j) and (r, s) cross iff i < r < j < s or r < i < s < j.
     Finite (i, j) and infinite (n, infinity) cross iff i < n < j.
     Shared endpoints never cross.  Two infinite arcs: undefined.
+    Raises TypeError when an argument is not an arc.
     """
-    if isinstance(x, InfiniteArc) and isinstance(y, InfiniteArc):
-        return CrossResult.UNDEFINED_INFINITE_INFINITE
-    if isinstance(x, InfiniteArc):
-        x, y = y, x
-    if isinstance(y, InfiniteArc):
-        return (
-            CrossResult.CROSS if x.a < y.m < x.b else CrossResult.NO_CROSS
-        )
-    i, j, r, s = x.a, x.b, y.a, y.b
+    try:
+        if isinstance(y, InfiniteArc):
+            if isinstance(x, InfiniteArc):
+                return CrossResult.UNDEFINED_INFINITE_INFINITE
+            if x.a < y.m < x.b:
+                return CrossResult.CROSS
+            return CrossResult.NO_CROSS
+        if isinstance(x, InfiniteArc):
+            if y.a < x.m < y.b:
+                return CrossResult.CROSS
+            return CrossResult.NO_CROSS
+        i, j, r, s = x.a, x.b, y.a, y.b
+    except AttributeError:
+        raise _not_arc("arcs_cross", x=x, y=y) from None
     if i < r < j < s or r < i < s < j:
         return CrossResult.CROSS
     return CrossResult.NO_CROSS
@@ -121,14 +149,18 @@ def ext_via_crossing(x: Arc, y: Arc) -> HomDim:
     objects genuinely differ, so a symmetric crossing answer cannot
     represent them.
     """
-    result = arcs_cross(x, y)
+    try:
+        result = arcs_cross(x, y)
+    except TypeError:
+        if isinstance(x, (FiniteArc, InfiniteArc)) and isinstance(y, (FiniteArc, InfiniteArc)):
+            raise
+        raise _not_arc("ext_via_crossing", x=x, y=y) from None
     if result is CrossResult.UNDEFINED_INFINITE_INFINITE:
         raise ValueError(
             "ext between two limit objects is not symmetric; "
             "use ext_dim on the objects in the direction you mean"
         )
-    value = 1 if result is CrossResult.CROSS else 0
-    return HomDim(value, HomWitness("arcs-cross", None, (x, y)))
+    return _answer(1 if result is CrossResult.CROSS else 0, "arcs-cross", None, (x, y))
 
 
 def overarcs_crossing_infinite(m: int, window: tuple[int, int]) -> list[FiniteArc]:
@@ -146,7 +178,10 @@ def arc_sort_key(arc: Arc) -> tuple[int, int, int]:
     """Finite arcs lexicographically, then infinite arcs by endpoint."""
     if isinstance(arc, FiniteArc):
         return (0, arc.a, arc.b)
-    return (1, arc.m, 0)
+    try:
+        return (1, arc.m, 0)
+    except AttributeError:
+        raise _not_arc("arc_sort_key", arc=arc) from None
 
 
 def parse_arc(text: str) -> Arc:
@@ -175,4 +210,7 @@ def parse_arc(text: str) -> Arc:
 def format_arc(arc: Arc) -> str:
     if isinstance(arc, FiniteArc):
         return f"{arc.a},{arc.b}"
-    return f"{arc.m},inf"
+    try:
+        return f"{arc.m},inf"
+    except AttributeError:
+        raise _not_arc("format_arc", arc=arc) from None

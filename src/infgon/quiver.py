@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -82,8 +83,36 @@ class RegionPart(Enum):
     EITHER = "either"
 
 
-@dataclass(frozen=True, slots=True)
-class HomWitness:
+class _Record(tuple):
+    """An immutable record backed by a tuple.
+
+    Unlike a frozen dataclass it costs one tuple allocation to build.  A
+    record equals only another record of the same type, never a plain
+    tuple, and hashes like the tuple of its fields.  Subclasses name
+    their fields in __match_args__ and take them as arguments of __new__.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # tuple.__eq__ would answer for any other tuple, so refuse here
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class HomWitness(_Record):
     """Reason a hom dimension came out the way it did.
 
     rule is one of "finite-finite", "finite-prufer", "prufer-finite",
@@ -94,21 +123,36 @@ class HomWitness:
     objects params carries their slots.
     """
 
-    rule: str
-    region: Optional[str]
-    params: tuple
+    __slots__ = ()
+    __match_args__ = ("rule", "region", "params")
+
+    def __new__(cls, rule: str, region: Optional[str], params: tuple) -> HomWitness:
+        return tuple.__new__(cls, (rule, region, params))
+
+    rule = property(itemgetter(0))
+    region = property(itemgetter(1))
+    params = property(itemgetter(2))
 
 
-@dataclass(frozen=True, slots=True)
-class HomDim:
+class HomDim(_Record):
     """A hom-space dimension (always 0 or 1) plus its witness."""
 
-    value: int
-    witness: HomWitness
+    __slots__ = ()
+    __match_args__ = ("value", "witness")
 
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"hom dimension must be 0 or 1, got {self.value}")
+    def __new__(cls, value: int, witness: HomWitness) -> HomDim:
+        if value not in (0, 1):
+            raise ValueError(f"hom dimension must be 0 or 1, got {value}")
+        return tuple.__new__(cls, (value, witness))
+
+    value = property(itemgetter(0))
+    witness = property(itemgetter(1))
+
+
+def _answer(value: int, rule: str, region: Optional[str], params: tuple) -> HomDim:
+    # The answer path: value is 0 or 1 by construction, so both records
+    # are built without the checks of their public constructors.
+    return tuple.__new__(HomDim, (value, tuple.__new__(HomWitness, (rule, region, params))))
 
 
 class Tristate(Enum):
@@ -213,24 +257,21 @@ def _hom_dim(func: str, a: IndObject, b: IndObject, t: int) -> HomDim:
         if isinstance(a, FiniteInd):
             m, n = _arc(shift, b.index)
             region = _region(*_arc(a.shift, a.index), m, n)
-            return HomDim(
-                0 if region is None else 1,
-                HomWitness("finite-finite", region, (m, n)),
-            )
+            return _answer(0 if region is None else 1, "finite-finite", region, (m, n))
         if isinstance(a, PruferInd):
             base = a.slot + 2
             j = base - shift
             value = 1 if 0 <= j <= b.index else 0
-            return HomDim(value, HomWitness("prufer-finite", None, (base, j, b.index)))
+            return _answer(value, "prufer-finite", None, (base, j, b.index))
     elif isinstance(b, PruferInd):
         slot = b.slot + t
         if isinstance(a, FiniteInd):
             j = slot - a.shift
             value = 1 if 0 <= j <= a.index else 0
-            return HomDim(value, HomWitness("finite-prufer", None, (slot, j, a.index)))
+            return _answer(value, "finite-prufer", None, (slot, j, a.index))
         if isinstance(a, PruferInd):
             value = 1 if slot <= a.slot else 0
-            return HomDim(value, HomWitness("prufer-prufer", None, (a.slot, slot)))
+            return _answer(value, "prufer-prufer", None, (a.slot, slot))
     name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
     raise TypeError(
         f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"

@@ -180,6 +180,24 @@ class TestOverarcs:
             assert listed == expected
 
 
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: object_to_arc(FiniteArc(0, 2)), "object_to_arc .* x is FiniteArc"),
+            (lambda: arc_to_object(FiniteInd(0, 0)), "arc_to_object .* arc is FiniteInd"),
+            (lambda: translate_arc(FiniteInd(0, 0), 1), "translate_arc .* arc is FiniteInd"),
+            (lambda: arcs_cross(FiniteInd(0, 0), FiniteArc(0, 3)), "arcs_cross .* x is FiniteInd"),
+            (lambda: ext_via_crossing(FiniteArc(0, 2), None), "ext_via_crossing .* y is NoneType"),
+            (lambda: format_arc(PruferInd(0)), "format_arc .* arc is PruferInd"),
+            (lambda: arc_sort_key(3), "arc_sort_key .* arc is int"),
+        ],
+    )
+    def test_non_arc_argument_named(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 class TestTextForms:
     @pytest.mark.parametrize(
         "text,arc",

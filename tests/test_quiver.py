@@ -6,6 +6,9 @@ those families in the forward direction (iterate the parameters, emit the
 objects) so the two directions validate each other.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,14 @@ from infgon import (
     FiniteArc,
     FiniteInd,
     HomDim,
+    HomWitness,
+    InfiniteArc,
     PruferInd,
     RegionPart,
     Tristate,
     composite_nonzero,
     ext_dim,
+    ext_via_crossing,
     h_region_contains,
     hom_dim,
     shift_object,
@@ -66,12 +72,97 @@ class TestConstruction:
             FiniteInd(0, -1)
 
     def test_hom_dim_value_must_be_zero_or_one(self):
-        with pytest.raises(ValueError):
-            HomDim(2, None)
+        for value in (2, -1, None):
+            with pytest.raises(ValueError):
+                HomDim(value, None)
+            with pytest.raises(ValueError):
+                HomDim(value=value, witness=None)
 
     def test_objects_hash_and_compare_by_value(self):
         assert FiniteInd(1, 2) == FiniteInd(1, 2)
         assert len({PruferInd(3), PruferInd(3)}) == 1
+
+
+# repr strings as the frozen dataclasses printed them, one per rule
+RECORD_REPRS = [
+    (
+        hom_dim(FiniteInd(0, 3), FiniteInd(3, 3)),
+        "HomDim(value=1, witness=HomWitness(rule='finite-finite', region='minus', params=(-8, -3)))",
+    ),
+    (
+        ext_dim(FiniteInd(0, 3), FiniteInd(-2, 1)),
+        "HomDim(value=1, witness=HomWitness(rule='finite-finite', region='plus', params=(-2, 1)))",
+    ),
+    (
+        hom_dim(FiniteInd(0, 3), FiniteInd(-2, 1)),
+        "HomDim(value=0, witness=HomWitness(rule='finite-finite', region=None, params=(-1, 2)))",
+    ),
+    (
+        hom_dim(FiniteInd(1, 2), PruferInd(2)),
+        "HomDim(value=1, witness=HomWitness(rule='finite-prufer', region=None, params=(2, 1, 2)))",
+    ),
+    (
+        hom_dim(PruferInd(1), FiniteInd(-2, 1)),
+        "HomDim(value=0, witness=HomWitness(rule='prufer-finite', region=None, params=(3, 5, 1)))",
+    ),
+    (
+        hom_dim(PruferInd(3), PruferInd(1)),
+        "HomDim(value=1, witness=HomWitness(rule='prufer-prufer', region=None, params=(3, 1)))",
+    ),
+    (
+        ext_via_crossing(FiniteArc(0, 3), InfiniteArc(1)),
+        "HomDim(value=1, witness=HomWitness(rule='arcs-cross', region=None, "
+        "params=(FiniteArc(a=0, b=3), InfiniteArc(m=1))))",
+    ),
+]
+
+
+class TestRecords:
+    """HomDim and HomWitness behave as the frozen dataclasses they replace."""
+
+    @pytest.mark.parametrize("d,text", RECORD_REPRS)
+    def test_repr(self, d, text):
+        assert repr(d) == text
+
+    @pytest.mark.parametrize("d,_", RECORD_REPRS)
+    def test_equal_only_to_own_type(self, d, _):
+        w = d.witness
+        assert d == HomDim(d.value, HomWitness(w.rule, w.region, w.params))
+        assert d != (d.value, w) and (d.value, w) != d
+        assert not d == (d.value, w) and not (d.value, w) == d
+        assert w != (w.rule, w.region, w.params)
+        assert d != HomDim(1 - d.value, w)
+
+    @pytest.mark.parametrize("d,_", RECORD_REPRS)
+    def test_hash_is_field_tuple_hash(self, d, _):
+        w = d.witness
+        assert hash(d) == hash((d.value, w))
+        assert hash(w) == hash((w.rule, w.region, w.params))
+
+    @pytest.mark.parametrize("field", ["value", "witness"])
+    def test_fields_are_read_only(self, field):
+        d = hom_dim(FiniteInd(0, 0), FiniteInd(2, 0))
+        with pytest.raises(AttributeError):
+            setattr(d, field, 0)
+        with pytest.raises(AttributeError):
+            d.witness.rule = "other"
+
+    @pytest.mark.parametrize("d,_", RECORD_REPRS)
+    def test_copy_deepcopy_pickle(self, d, _):
+        assert copy.copy(d) == d
+        assert copy.deepcopy(d) == d
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(d, protocol))
+            assert back == d and type(back.witness) is HomWitness
+
+    def test_keyword_construction_and_match(self):
+        w = HomWitness(rule="prufer-prufer", region=None, params=(3, 1))
+        assert HomDim(value=1, witness=w) == hom_dim(PruferInd(3), PruferInd(1))
+        match hom_dim(PruferInd(3), PruferInd(1)):
+            case HomDim(1, HomWitness(rule, None, params)):
+                assert (rule, params) == ("prufer-prufer", (3, 1))
+            case _:
+                pytest.fail("positional pattern did not match")
 
 
 class TestShift:
