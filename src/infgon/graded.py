@@ -21,19 +21,25 @@ colimit/limit read the answer off the stable tail.  Because every space
 is finite dimensional (0 or 1 here), the derived-limit obstruction for
 inverse towers vanishes; truncated_lim asserts this by checking the tail
 transitions are isomorphisms whenever the answer is 1.
+
+Every tower is built from region rows of the integer hom kernel, each
+computed once: one kernel call per (probe, stage) pair gives both the
+0/1 dimension and the plus-region test, and one call per slice step
+gives the irreducible stage_k -> stage_{k+1}, whatever the probe.  A
+transition flag reads the composite criterion off these rows.  The
+nested tower keeps its inner rows, and its outer ladder reads them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from math import ceil
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .quiver import (
     FiniteInd,
     IndObject,
     _arc,
-    _composite_true,
     _finite_arc,
     _region,
 )
@@ -166,20 +172,54 @@ class TowerLimit:
     lim1_vanishes: bool = True
 
 
+def _check_ints(func: str, **args: object) -> None:
+    # Once per public call, before any stage is built.
+    for name, x in args.items():
+        if not isinstance(x, int):
+            raise TypeError(f"{func} takes an int {name}, {name} is {type(x).__name__}")
+
+
+def _tower(
+    dims: tuple[int, ...], flags: tuple[bool, ...], direction: TowerDirection
+) -> HomTower:
+    # The kernel path: dims are 0/1 and a flag is set only between two
+    # nonzero stages by construction, so the checks of
+    # HomTower.__post_init__ are skipped.
+    tower = object.__new__(HomTower)
+    object.__setattr__(tower, "dims", dims)
+    object.__setattr__(tower, "transition_nonzero", flags)
+    object.__setattr__(tower, "direction", direction)
+    return tower
+
+
 def _slice_arcs(slice_start: int, truncation: int) -> list[tuple[int, int]]:
     # Stage k of the slice based at slice_start is the object with shift
     # slice_start - k and index k; its arc is (-slice_start - 2, k - slice_start).
     return [_arc(slice_start - k, k) for k in range(truncation + 1)]
 
 
-def _direct_tower(y: tuple[int, int], stages: list[tuple[int, int]]) -> HomTower:
-    # Hom(y, -) along the stage arcs, on the integer kernel.
-    dims = tuple(0 if _region(*y, *o) is None else 1 for o in stages)
-    flags = tuple(
-        dims[i] == 1 and dims[i + 1] == 1 and _composite_true(y, stages[i], stages[i + 1])
-        for i in range(len(stages) - 1)
-    )
-    return HomTower(dims, flags, TowerDirection.DIRECT)
+def _probe_row(y: tuple[int, int], stages: list[tuple[int, int]]) -> list[Optional[str]]:
+    # The region of Hom(y, stage_k) for every stage: one kernel call each.
+    i, j = y
+    return [_region(i, j, m, n) for m, n in stages]
+
+
+def _step_row(stages: list[tuple[int, int]]) -> list[bool]:
+    # Whether each irreducible stage_k -> stage_{k+1} lies in the plus
+    # region: one kernel call per slice step, whatever the probe.
+    return [_region(i, j, m, n) == "plus" for (i, j), (m, n) in zip(stages, stages[1:])]
+
+
+def _dims(row: list[Optional[str]]) -> tuple[int, ...]:
+    return tuple([0 if r is None else 1 for r in row])
+
+
+def _flags(plus: list[bool], step: list[bool]) -> tuple[bool, ...]:
+    # Flag k is the TRUE criterion of composite_nonzero for
+    # probe -> stage_k -> stage_{k+1}: both stages in the plus region of
+    # the probe, and the step in the plus region of stage_k.  Its two
+    # raises cannot fire, as a plus region is a nonzero hom.
+    return tuple([a and s and b for a, s, b in zip(plus, step, plus[1:])])
 
 
 def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower:
@@ -189,12 +229,17 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     Transition flags use the composite criterion: the stage map sends a
     nonzero y -> stage_i to its composite with the irreducible
     stage_i -> stage_{i+1}, so the flag is set exactly when that
-    composite is certified nonzero.
+    composite is certified nonzero.  Raises TypeError when y is not a
+    FiniteInd or slice_start or truncation is not an int.
     """
+    _check_ints("build_hom_tower", slice_start=slice_start, truncation=truncation)
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     y_arc = _finite_arc("build_hom_tower", "y", y)
-    return _direct_tower(y_arc, _slice_arcs(slice_start, truncation))
+    stages = _slice_arcs(slice_start, truncation)
+    row = _probe_row(y_arc, stages)
+    flags = _flags([r == "plus" for r in row], _step_row(stages))
+    return _tower(_dims(row), flags, TowerDirection.DIRECT)
 
 
 def build_inverse_hom_tower(
@@ -208,28 +253,30 @@ def build_inverse_hom_tower(
     tower is the vector-space dual of the direct tower of the twice
     downshifted target, and a linear map is nonzero exactly when its
     transpose is.  Hence the flag at j tests the composite criterion for
-    shift_object(target, -2) -> stage_j -> stage_{j+1}.
+    shift_object(target, -2) -> stage_j -> stage_{j+1}.  Raises
+    TypeError when target is not a FiniteInd or slice_start or
+    truncation is not an int.
     """
+    _check_ints(
+        "build_inverse_hom_tower", slice_start=slice_start, truncation=truncation
+    )
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     i, j = _finite_arc("build_inverse_hom_tower", "target", target)
     stages = _slice_arcs(slice_start, truncation)
-    dims = tuple(0 if _region(*o, i, j) is None else 1 for o in stages)
-    # Shifting an object by -2 moves both ends of its arc up by 2.
-    dual_probe = (i + 2, j + 2)
-    flags = tuple(
-        dims[k] == 1 and dims[k + 1] == 1
-        and _composite_true(dual_probe, stages[k], stages[k + 1])
-        for k in range(truncation)
-    )
-    return HomTower(dims, flags, TowerDirection.INVERSE)
+    dims = _dims([_region(m, n, i, j) for m, n in stages])
+    # Shifting an object by -2 moves both ends of its arc up by 2.  By
+    # Serre duality (the serre-duality suite) the dual row vanishes
+    # exactly where dims does, so every flag has ones on both sides.
+    dual = _probe_row((i + 2, j + 2), stages)
+    flags = _flags([r == "plus" for r in dual], _step_row(stages))
+    return _tower(dims, flags, TowerDirection.INVERSE)
 
 
-def _stable_split(tower: HomTower) -> int:
+def _stable_split(dims: Sequence[int], flags: Sequence[bool]) -> int:
     # First index from which dims and flags both sit at their final
     # constant values; raises if the settled tail is shorter than a
     # quarter of the truncation.
-    dims, flags = tower.dims, tower.transition_nonzero
     n = len(dims) - 1
     quarter = max(1, ceil(n / 4))
     sd = n
@@ -251,11 +298,14 @@ def _stable_split(tower: HomTower) -> int:
     return stable_from
 
 
-def _tail_value(tower: HomTower) -> int:
-    dims, flags = tower.dims, tower.transition_nonzero
+def _tail_value(dims: Sequence[int], flags: Sequence[bool]) -> int:
     if dims[-1] == 1 and (not flags or flags[-1]):
         return 1
     return 0
+
+
+def _not_tower(func: str, tower: object) -> TypeError:
+    return TypeError(f"{func} takes a HomTower, tower is {type(tower).__name__}")
 
 
 def truncated_colim(tower: HomTower) -> TowerColimit:
@@ -263,12 +313,16 @@ def truncated_colim(tower: HomTower) -> TowerColimit:
 
     1 exactly when the tail is constantly 1 with every tail transition
     nonzero (each class survives forever); 0 otherwise.  Raises
-    TowerUnstableError when the tail has not settled.
+    TowerUnstableError when the tail has not settled, and TypeError when
+    tower is not a HomTower.
     """
+    if not isinstance(tower, HomTower):
+        raise _not_tower("truncated_colim", tower)
     if tower.direction is not TowerDirection.DIRECT:
         raise ValueError("truncated_colim needs a direct tower")
-    stable_from = _stable_split(tower)
-    return TowerColimit(_tail_value(tower), stable_from)
+    dims, flags = tower.dims, tower.transition_nonzero
+    stable_from = _stable_split(dims, flags)
+    return TowerColimit(_tail_value(dims, flags), stable_from)
 
 
 def truncated_lim(tower: HomTower) -> TowerLimit:
@@ -277,12 +331,16 @@ def truncated_lim(tower: HomTower) -> TowerLimit:
     1 exactly when the tail is constantly 1 with nonzero tail
     transitions; towers of 0/1-dimensional spaces have vanishing derived
     limit, which the value-1 case corroborates by the tail maps being
-    isomorphisms (nonzero maps between one-dimensional spaces).
+    isomorphisms (nonzero maps between one-dimensional spaces).  Raises
+    TypeError when tower is not a HomTower.
     """
+    if not isinstance(tower, HomTower):
+        raise _not_tower("truncated_lim", tower)
     if tower.direction is not TowerDirection.INVERSE:
         raise ValueError("truncated_lim needs an inverse tower")
-    stable_from = _stable_split(tower)
-    return TowerLimit(_tail_value(tower), stable_from, lim1_vanishes=True)
+    dims, flags = tower.dims, tower.transition_nonzero
+    stable_from = _stable_split(dims, flags)
+    return TowerLimit(_tail_value(dims, flags), stable_from, lim1_vanishes=True)
 
 
 def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
@@ -295,11 +353,18 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     flags check the ladder of composites stage_j -> stage_{j+1} ->
     inner stage over the settled part of both inner towers.  Inner
     towers run to twice the requested truncation so that they stay
-    stable for outer stages near the end.  The caller must pick the
-    truncation large enough relative to |m - n|: TowerUnstableError is
-    raised when m - n > truncation - ceil(truncation / 4), and
-    propagates from any tower that does not settle.
+    stable for outer stages near the end.
+
+    Each (outer stage, inner stage) pair costs one kernel call: the
+    inner towers are built from these rows, and the ladder reads rows j
+    and j+1 over the settled part together with the outer step
+    stage_j -> stage_{j+1}.  The caller must pick the truncation large
+    enough relative to |m - n|: TowerUnstableError is raised when
+    m - n > truncation - ceil(truncation / 4), and propagates from any
+    tower that does not settle.  Raises TypeError when an argument is
+    not an int.
     """
+    _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
     if truncation < 4:
         raise ValueError("truncation must be >= 4")
     # Outer stage j is nonzero only from j = m - n on.  Past this gap
@@ -311,20 +376,24 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
             f"truncation {truncation} is too short for slots {m} and {n}: "
             f"the nested tower settles only for m - n <= {longest_gap}"
         )
-    inner_truncation = 2 * truncation
     stages = _slice_arcs(m, truncation)
-    targets = _slice_arcs(n, inner_truncation)
-    inner = [truncated_colim(_direct_tower(y, targets)) for y in stages]
-    dims = tuple(c.value for c in inner)
+    targets = _slice_arcs(n, 2 * truncation)
+    target_step = _step_row(targets)
+    plus_rows, dims, stable = [], [], []
+    for y in stages:
+        row = _probe_row(y, targets)
+        plus = [r == "plus" for r in row]
+        inner_dims, inner_flags = _dims(row), _flags(plus, target_step)
+        stable.append(_stable_split(inner_dims, inner_flags))
+        dims.append(_tail_value(inner_dims, inner_flags))
+        plus_rows.append(plus)
+    step = _step_row(stages)
     flags = []
     for j in range(truncation):
-        ok = dims[j] == 1 and dims[j + 1] == 1
+        ok = dims[j] == 1 and dims[j + 1] == 1 and step[j]
         if ok:
-            start = max(inner[j].stable_from, inner[j + 1].stable_from)
-            ok = all(
-                _composite_true(stages[j], stages[j + 1], targets[l])
-                for l in range(start, inner_truncation + 1)
-            )
+            start = max(stable[j], stable[j + 1])
+            ok = all(plus_rows[j][start:]) and all(plus_rows[j + 1][start:])
         flags.append(ok)
-    outer = HomTower(dims, tuple(flags), TowerDirection.INVERSE)
-    return truncated_lim(outer).value
+    _stable_split(dims, flags)
+    return _tail_value(dims, flags)

@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infgon import acceptance
-from infgon.cli import _parse_object, format_object, main
+from infgon.cli import MAX_TRUNCATION, _parse_object, format_object, main
 from infgon.quiver import FiniteInd, PruferInd
 
 FAN_DOC = {"generators": [{"kind": "fan", "vertex": 0}], "infinite_arcs": [0]}
@@ -391,6 +392,39 @@ class TestCheckTruncation:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--truncation", "zzz"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 100_000_000_000])
+    def test_truncation_above_ceiling_is_usage_error(
+        self, capsys, monkeypatch, truncation
+    ):
+        # the stub records a call; a real suite at this depth would not end
+        calls = []
+        monkeypatch.setattr(
+            acceptance,
+            "ALL_SUITES",
+            [("prufer-prufer-tower", lambda truncation=30: calls.append(truncation))],
+        )
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "check", "--truncation", str(truncation))
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, calls) == (2, "", [])
+        assert err == (
+            f"error: --truncation {truncation} is above the ceiling {MAX_TRUNCATION}\n"
+        )
+
+    def test_ceiling_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            acceptance, "ALL_SUITES", [("prufer-prufer-tower", _stub_suite)]
+        )
+        rc, out, _ = run_cli(capsys, "check", "--truncation", str(MAX_TRUNCATION))
+        assert rc == 0
+        assert f"N={MAX_TRUNCATION}" in out
+
+    def test_ceiling_is_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        assert f"(at most {MAX_TRUNCATION})" in help_text
 
 
 class TestModuleInvocation:

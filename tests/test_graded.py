@@ -6,6 +6,8 @@ wedge formula, an inverse tower's limit the shifted wedge formula, and
 the nested tower-of-towers the slot comparison for Pruefer pairs.
 """
 
+from math import ceil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,10 @@ from infgon import (
     PruferMod,
     TowerDirection,
     TowerUnstableError,
+    Tristate,
     build_hom_tower,
     build_inverse_hom_tower,
+    composite_nonzero,
     degreewise_dims,
     dual_descriptor,
     f_image,
@@ -252,6 +256,99 @@ class TestPruferPruferTower:
         assert prufer_prufer_tower(longest - 2, -2, truncation) == 1
         with pytest.raises(TowerUnstableError):
             prufer_prufer_tower(longest - 1, -2, truncation)
+
+    @pytest.mark.parametrize("truncation", [*range(4, 13), 30])
+    def test_matches_public_nested_route(self, truncation):
+        # every gap from where the inner towers stop settling to past the
+        # gap bound; the base slot moves with the gap
+        answers = set()
+        for gap in range(-3 * truncation, truncation + 3):
+            n = gap % 7 - 3
+            got, want = (
+                _value_or_error(route, gap + n, n, truncation)
+                for route in (prufer_prufer_tower, nested_by_public_towers)
+            )
+            assert got == want, (gap, n, truncation)
+            answers.add(got if isinstance(got, int) else got[0])
+        assert answers == {0, 1, "TowerUnstableError"}
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except TowerUnstableError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def nested_by_public_towers(m, n, truncation):
+    """The nested tower of limit objects built only from public pieces:
+    inner colimits of build_hom_tower, an outer ladder checked by
+    composite_nonzero at every settled inner stage, and an outer tower
+    through the checking HomTower constructor."""
+    longest_gap = truncation - ceil(truncation / 4)
+    if m - n > longest_gap:
+        raise TowerUnstableError(
+            f"truncation {truncation} is too short for slots {m} and {n}: "
+            f"the nested tower settles only for m - n <= {longest_gap}"
+        )
+    inner_truncation = 2 * truncation
+    stages = [FiniteInd(m - k, k) for k in range(truncation + 1)]
+    targets = [FiniteInd(n - k, k) for k in range(inner_truncation + 1)]
+    inner = [truncated_colim(build_hom_tower(y, n, inner_truncation)) for y in stages]
+    dims = tuple(c.value for c in inner)
+    flags = []
+    for j in range(truncation):
+        ok = dims[j] == 1 and dims[j + 1] == 1
+        if ok:
+            start = max(inner[j].stable_from, inner[j + 1].stable_from)
+            ok = all(
+                composite_nonzero(stages[j], stages[j + 1], targets[l]) is Tristate.TRUE
+                for l in range(start, inner_truncation + 1)
+            )
+        flags.append(ok)
+    return truncated_lim(HomTower(dims, tuple(flags), TowerDirection.INVERSE)).value
+
+
+class TestKernelTowersPassTheConstructor:
+    """Towers from the kernel skip HomTower's checks; the public
+    constructor accepts each of them unchanged."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-20, 20), st.integers(0, 15), st.integers(-20, 20), st.integers(0, 40)
+    )
+    def test_round_trip(self, shift, index, slot, truncation):
+        y = FiniteInd(shift, index)
+        for t in (
+            build_hom_tower(y, slot, truncation),
+            build_inverse_hom_tower(y, slot, truncation),
+        ):
+            rebuilt = HomTower(t.dims, t.transition_nonzero, t.direction)
+            assert rebuilt == t
+            assert repr(rebuilt) == repr(t)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "fn,args,name",
+        [
+            (truncated_colim, (None,), "tower"),
+            (truncated_lim, ((1, 0),), "tower"),
+            (prufer_prufer_tower, (0.5, 0, 8), "m"),
+            (prufer_prufer_tower, (0, "0", 8), "n"),
+            (prufer_prufer_tower, (0, 0, 8.0), "truncation"),
+            (build_hom_tower, (FiniteInd(0, 1), 0.5, 4), "slice_start"),
+            (build_hom_tower, (FiniteInd(0, 1), 0, 4.0), "truncation"),
+            (build_hom_tower, (PruferInd(0), 0, 4), "y"),
+            (build_inverse_hom_tower, (FiniteInd(0, 1), None, 4), "slice_start"),
+            (build_inverse_hom_tower, (FiniteInd(0, 1), 0, "4"), "truncation"),
+            (build_inverse_hom_tower, (PruferInd(0), 0, 4), "target"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) if callable(v) else None,
+    )
+    def test_type_error_names_the_argument(self, fn, args, name):
+        with pytest.raises(TypeError, match=f"^{fn.__name__} .*, {name} is "):
+            fn(*args)
 
 
 def hammock(center, lo=-30, hi=30):
