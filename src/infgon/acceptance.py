@@ -15,9 +15,9 @@ from functools import partial
 from typing import Callable
 
 from .arcs import (
-    CrossResult,
     FiniteArc,
     InfiniteArc,
+    _CROSS,
     arc_to_object,
     arcs_cross,
     object_to_arc,
@@ -84,12 +84,11 @@ def suite_crossing_ext_bridge() -> tuple[bool, int, str]:
     # other.
     arcs = _finite_arcs(-25, 25)
     up = [(y.a - 1, y.b - 1) for y in arcs]
-    cross = CrossResult.CROSS
     n = 0
     for x in arcs:
         i, j = x.a, x.b
         for y, (m, k) in zip(arcs, up):
-            if (arcs_cross(x, y) is cross) is (_region(i, j, m, k) is None):
+            if (arcs_cross(x, y) is _CROSS) is (_region(i, j, m, k) is None):
                 return False, n, f"mismatch at {x}, {y}"
             n += 1
     return True, n, f"{len(arcs)} arcs, every ordered pair"
@@ -336,7 +335,7 @@ def suite_family_maximality() -> tuple[bool, int, str]:
             members = materialize(ArcConfiguration([g]), (c - w, c + w))
             for i, x in enumerate(members):
                 for y in members[i + 1 :]:
-                    if arcs_cross(x, y) is CrossResult.CROSS:
+                    if arcs_cross(x, y) is _CROSS:
                         return False, n, f"{g}: members {x} and {y} cross"
                     n += 1
             # in a window centred on the family, a non-member's crossing
@@ -346,7 +345,7 @@ def suite_family_maximality() -> tuple[bool, int, str]:
             for cand in _finite_arcs(c - w + 2, c + w - 2):
                 if cand in have:
                     continue
-                if not any(arcs_cross(cand, t) is CrossResult.CROSS for t in members):
+                if not any(arcs_cross(cand, t) is _CROSS for t in members):
                     return False, n, f"{g}: {cand} crosses no member in window +-{w}"
                 n += 1
     widths = ", ".join(str(w) for w in windows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .quiver import FiniteInd, HomDim, IndObject, PruferInd, _answer
+from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, _new
 
 __all__ = [
     "FiniteArc",
@@ -79,6 +79,13 @@ class CrossResult(Enum):
     UNDEFINED_INFINITE_INFINITE = "UndefinedInfiniteInfinite"
 
 
+# The members as module globals: a read through the class costs a
+# descriptor lookup on every call of the crossing calculus.
+_CROSS = CrossResult.CROSS
+_NO_CROSS = CrossResult.NO_CROSS
+_UNDEFINED = CrossResult.UNDEFINED_INFINITE_INFINITE
+
+
 def object_to_arc(x: IndObject) -> Arc:
     """Arc coordinates of an indecomposable.  Raises TypeError when x is
     not a FiniteInd or PruferInd."""
@@ -125,20 +132,20 @@ def arcs_cross(x: Arc, y: Arc) -> CrossResult:
     try:
         if isinstance(y, InfiniteArc):
             if isinstance(x, InfiniteArc):
-                return CrossResult.UNDEFINED_INFINITE_INFINITE
+                return _UNDEFINED
             if x.a < y.m < x.b:
-                return CrossResult.CROSS
-            return CrossResult.NO_CROSS
+                return _CROSS
+            return _NO_CROSS
         if isinstance(x, InfiniteArc):
             if y.a < x.m < y.b:
-                return CrossResult.CROSS
-            return CrossResult.NO_CROSS
+                return _CROSS
+            return _NO_CROSS
         i, j, r, s = x.a, x.b, y.a, y.b
     except AttributeError:
         raise _not_arc("arcs_cross", x=x, y=y) from None
     if i < r < j < s or r < i < s < j:
-        return CrossResult.CROSS
-    return CrossResult.NO_CROSS
+        return _CROSS
+    return _NO_CROSS
 
 
 def ext_via_crossing(x: Arc, y: Arc) -> HomDim:
@@ -155,12 +162,13 @@ def ext_via_crossing(x: Arc, y: Arc) -> HomDim:
         if isinstance(x, (FiniteArc, InfiniteArc)) and isinstance(y, (FiniteArc, InfiniteArc)):
             raise
         raise _not_arc("ext_via_crossing", x=x, y=y) from None
-    if result is CrossResult.UNDEFINED_INFINITE_INFINITE:
+    if result is _UNDEFINED:
         raise ValueError(
             "ext between two limit objects is not symmetric; "
             "use ext_dim on the objects in the direction you mean"
         )
-    return _answer(1 if result is CrossResult.CROSS else 0, "arcs-cross", None, (x, y))
+    witness = _new(HomWitness, ("arcs-cross", None, (x, y)))
+    return _new(HomDim, (1 if result is _CROSS else 0, witness))
 
 
 def overarcs_crossing_infinite(m: int, window: tuple[int, int]) -> list[FiniteArc]:

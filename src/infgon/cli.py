@@ -31,9 +31,10 @@ from .arcs import (
 from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, ext_dim, hom_dim
 
 SCHEMA = "infgon/1"
-# The deepest tower truncation `check` accepts.  The nested tower suite
-# grows with its square: at 240 the three tower suites take about 13 s
-# on a 2-core host.
+# The tower truncations `check` accepts.  The nested tower suite needs
+# at least 4, and grows with the square of its truncation: at 240 the
+# three tower suites take about 13 s on a 2-core host.
+MIN_TRUNCATION = 4
 MAX_TRUNCATION = 240
 
 __all__ = ["main"]
@@ -234,11 +235,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.truncation is not None and args.truncation > MAX_TRUNCATION:
-        print(
-            f"error: --truncation {args.truncation} is above the ceiling {MAX_TRUNCATION}",
-            file=sys.stderr,
+    n = args.truncation
+    if n is not None and not MIN_TRUNCATION <= n <= MAX_TRUNCATION:
+        bound = (
+            f"below the floor {MIN_TRUNCATION}"
+            if n < MIN_TRUNCATION
+            else f"above the ceiling {MAX_TRUNCATION}"
         )
+        print(f"error: --truncation {n} is {bound}", file=sys.stderr)
         return 2
     from .acceptance import run_all
 
@@ -412,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="override the tower truncation used by the tower suites "
-        f"(at most {MAX_TRUNCATION})",
+        help="override the tower truncation used by the tower suites, "
+        f"{MIN_TRUNCATION} or more (at most {MAX_TRUNCATION})",
     )
 
     p = add("witness", _cmd_witness, "constructive witnesses")

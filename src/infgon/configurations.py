@@ -36,9 +36,9 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .arcs import (
     Arc,
-    CrossResult,
     FiniteArc,
     InfiniteArc,
+    _CROSS,
     arc_sort_key,
     arcs_cross,
     format_arc,
@@ -316,7 +316,7 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
     member by (span, a)."""
     if isinstance(g, Explicit):
         for t in sorted(g.arcs, key=arc_sort_key):
-            if arcs_cross(t, arc) is CrossResult.CROSS:
+            if arcs_cross(t, arc) is _CROSS:
                 return t
         return None
     if isinstance(g, Fan):
@@ -329,7 +329,7 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
             return FiniteArc(v, arc.b + 1)
         return None  # endpoint touches v: member, handled by caller
     return _least_member(
-        g, lambda t: arcs_cross(t, arc) is CrossResult.CROSS, (arc.a, arc.b)
+        g, lambda t: arcs_cross(t, arc) is _CROSS, (arc.a, arc.b)
     )
 
 
@@ -416,7 +416,7 @@ def _generator_pair_witness(
     if t1 is None:
         return None
     t2 = _least_member(
-        g2, lambda t: arcs_cross(t, t1) is CrossResult.CROSS, (t1.a, t1.b)
+        g2, lambda t: arcs_cross(t, t1) is _CROSS, (t1.a, t1.b)
     )
     return t1, t2
 
@@ -437,7 +437,7 @@ def noncrossing_check(
     ex = sorted(explicit, key=arc_sort_key)
     for i, t1 in enumerate(ex):
         for t2 in ex[i + 1 :]:
-            if arcs_cross(t1, t2) is CrossResult.CROSS:
+            if arcs_cross(t1, t2) is _CROSS:
                 return (t1, t2)
     for t in ex:
         for g in bigs:
@@ -545,7 +545,7 @@ def maximality_check(
         for cand in _candidates(window):
             if cand in explicit:
                 continue
-            if all(arcs_cross(cand, t) is not CrossResult.CROSS for t in ex):
+            if all(arcs_cross(cand, t) is not _CROSS for t in ex):
                 return AddableArc(cand)
         h = max((t.b for t in explicit), default=window[0])
         return AddableArc(FiniteArc(h, h + 2))

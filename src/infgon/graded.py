@@ -350,19 +350,17 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     The outer layer is an inverse tower over the slice presenting slot
     m; its stage j value is the truncated colimit of the direct tower of
     Hom(stage_j, -) along the slice presenting slot n.  Outer transition
-    flags check the ladder of composites stage_j -> stage_{j+1} ->
-    inner stage over the settled part of both inner towers.  Inner
-    towers run to twice the requested truncation so that they stay
-    stable for outer stages near the end.
+    flag j is set when both inner colimits j and j+1 are 1 and the outer
+    step stage_j -> stage_{j+1} lies in the plus region.  Inner towers
+    run to twice the requested truncation so that they stay stable for
+    outer stages near the end.
 
-    Each (outer stage, inner stage) pair costs one kernel call: the
-    inner towers are built from these rows, and the ladder reads rows j
-    and j+1 over the settled part together with the outer step
-    stage_j -> stage_{j+1}.  The caller must pick the truncation large
-    enough relative to |m - n|: TowerUnstableError is raised when
-    m - n > truncation - ceil(truncation / 4), and propagates from any
-    tower that does not settle.  Raises TypeError when an argument is
-    not an int.
+    Each (outer stage, inner stage) pair costs one kernel call, and the
+    inner towers are built from these rows.  The caller must pick the
+    truncation large enough relative to |m - n|: TowerUnstableError is
+    raised when m - n > truncation - ceil(truncation / 4), and
+    propagates from any tower that does not settle.  Raises TypeError
+    when an argument is not an int.
     """
     _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
     if truncation < 4:
@@ -379,21 +377,19 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     stages = _slice_arcs(m, truncation)
     targets = _slice_arcs(n, 2 * truncation)
     target_step = _step_row(targets)
-    plus_rows, dims, stable = [], [], []
+    dims = []
     for y in stages:
         row = _probe_row(y, targets)
-        plus = [r == "plus" for r in row]
-        inner_dims, inner_flags = _dims(row), _flags(plus, target_step)
-        stable.append(_stable_split(inner_dims, inner_flags))
+        inner_dims, inner_flags = _dims(row), _flags([r == "plus" for r in row], target_step)
+        _stable_split(inner_dims, inner_flags)  # raises when the inner tower has not settled
         dims.append(_tail_value(inner_dims, inner_flags))
-        plus_rows.append(plus)
+    # The ladder of composites stage_j -> stage_{j+1} -> inner stage over
+    # the settled part of both inner towers cannot turn a flag off, so it
+    # is not read.  A flag is only tested when both inner colimits are 1;
+    # a colimit of 1 needs the inner flags True over the settled tail, and
+    # an inner flag is True only when its row is plus at both ends, so
+    # rows j and j+1 are plus wherever the ladder would read them.
     step = _step_row(stages)
-    flags = []
-    for j in range(truncation):
-        ok = dims[j] == 1 and dims[j + 1] == 1 and step[j]
-        if ok:
-            start = max(stable[j], stable[j + 1])
-            ok = all(plus_rows[j][start:]) and all(plus_rows[j + 1][start:])
-        flags.append(ok)
+    flags = [dims[j] == 1 and dims[j + 1] == 1 and step[j] for j in range(truncation)]
     _stable_split(dims, flags)
     return _tail_value(dims, flags)

@@ -23,8 +23,14 @@ regions of the hom hammock:
 The regions are disjoint.  Ext(a, b) is Hom(a, Sigma b), so the kernel
 reads b one shift up; the plus region also carries the sufficient
 criterion of composite_nonzero.  The truncated towers in `graded` call
-the kernel on plain ints; HomDim and HomWitness are built only by the
-public functions.
+the kernel on plain ints.
+
+hom_dim and ext_dim answer on one flat path per pair of kinds: the arc
+endpoints are read inline, the kernel _region (the only place the
+region inequalities appear) is called once with four ints, or a wedge
+or slot comparison decides for a limit object, and HomDim and its
+HomWitness are built in place, without the checks of their public
+constructors.  arcs.ext_via_crossing builds its records the same way.
 """
 from __future__ import annotations
 
@@ -149,10 +155,10 @@ class HomDim(_Record):
     witness = property(itemgetter(1))
 
 
-def _answer(value: int, rule: str, region: Optional[str], params: tuple) -> HomDim:
-    # The answer path: value is 0 or 1 by construction, so both records
-    # are built without the checks of their public constructors.
-    return tuple.__new__(HomDim, (value, tuple.__new__(HomWitness, (rule, region, params))))
+# The answer path builds HomDim and HomWitness in place through this
+# one constructor: its values are 0 or 1 by construction, so the checks
+# of the public constructors are skipped.
+_new = tuple.__new__
 
 
 class Tristate(Enum):
@@ -166,6 +172,12 @@ class Tristate(Enum):
     TRUE = "true"
     FALSE = "false"
     INDETERMINATE = "indeterminate"
+
+
+# Members read in hot paths: through the class each read costs a
+# descriptor lookup that a module global does not.
+_EITHER = RegionPart.EITHER
+_TRUE, _FALSE, _INDETERMINATE = Tristate.TRUE, Tristate.FALSE, Tristate.INDETERMINATE
 
 
 def shift_object(x: IndObject, t: int) -> IndObject:
@@ -245,7 +257,7 @@ def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bo
     """
     i, j = _finite_arc("h_region_contains", "center", center)
     region = _region(i + 1, j + 1, *_finite_arc("h_region_contains", "obj", obj))
-    if part is RegionPart.EITHER:
+    if part is _EITHER:
         return region is not None
     return region == part.value
 
@@ -255,23 +267,29 @@ def _hom_dim(func: str, a: IndObject, b: IndObject, t: int) -> HomDim:
     if isinstance(b, FiniteInd):
         shift = b.shift + t
         if isinstance(a, FiniteInd):
-            m, n = _arc(shift, b.index)
-            region = _region(*_arc(a.shift, a.index), m, n)
-            return _answer(0 if region is None else 1, "finite-finite", region, (m, n))
+            n = -shift
+            m = n - b.index - 2
+            j = -a.shift
+            region = _region(j - a.index - 2, j, m, n)
+            witness = _new(HomWitness, ("finite-finite", region, (m, n)))
+            return _new(HomDim, (0 if region is None else 1, witness))
         if isinstance(a, PruferInd):
             base = a.slot + 2
             j = base - shift
-            value = 1 if 0 <= j <= b.index else 0
-            return _answer(value, "prufer-finite", None, (base, j, b.index))
+            k = b.index
+            witness = _new(HomWitness, ("prufer-finite", None, (base, j, k)))
+            return _new(HomDim, (1 if 0 <= j <= k else 0, witness))
     elif isinstance(b, PruferInd):
         slot = b.slot + t
         if isinstance(a, FiniteInd):
             j = slot - a.shift
-            value = 1 if 0 <= j <= a.index else 0
-            return _answer(value, "finite-prufer", None, (slot, j, a.index))
+            k = a.index
+            witness = _new(HomWitness, ("finite-prufer", None, (slot, j, k)))
+            return _new(HomDim, (1 if 0 <= j <= k else 0, witness))
         if isinstance(a, PruferInd):
-            value = 1 if slot <= a.slot else 0
-            return _answer(value, "prufer-prufer", None, (a.slot, slot))
+            m = a.slot
+            witness = _new(HomWitness, ("prufer-prufer", None, (m, slot)))
+            return _new(HomDim, (1 if slot <= m else 0, witness))
     name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
     raise TypeError(
         f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"
@@ -314,7 +332,7 @@ def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:
     av = _finite_arc("composite_nonzero", "v", v)
     aw = _finite_arc("composite_nonzero", "w", w)
     if _composite_true(au, av, aw):
-        return Tristate.TRUE
+        return _TRUE
     if _region(*au, *aw) is None:
-        return Tristate.FALSE
-    return Tristate.INDETERMINATE
+        return _FALSE
+    return _INDETERMINATE

@@ -13,6 +13,8 @@ from infgon import (
     CrossResult,
     FiniteArc,
     FiniteInd,
+    HomDim,
+    HomWitness,
     InfiniteArc,
     PruferInd,
     arc_sort_key,
@@ -151,6 +153,49 @@ class TestExtBridge:
                 d = ext_via_crossing(x, InfiniteArc(m)).value
                 assert d == ext_dim(ox, e).value, (x, m)
                 assert d == ext_dim(e, ox).value, (x, m)
+
+
+finite_arcs = st.builds(
+    lambda a, gap: FiniteArc(a, a + gap), st.integers(-40, 40), st.integers(2, 62)
+)
+any_arcs = st.one_of(finite_arcs, st.builds(InfiniteArc, st.integers(-40, 40)))
+
+
+class TestFlatCrossingPath:
+    @given(any_arcs, any_arcs)
+    def test_ext_via_crossing_matches_docstring_rules(self, x, y):
+        # the crossing rules of the arcs_cross docstring, with the
+        # answer built through the checking record constructors
+        if isinstance(x, InfiniteArc) and isinstance(y, InfiniteArc):
+            with pytest.raises(ValueError, match="not symmetric"):
+                ext_via_crossing(x, y)
+            return
+        if isinstance(x, InfiniteArc):
+            cross = y.a < x.m < y.b
+        elif isinstance(y, InfiniteArc):
+            cross = x.a < y.m < x.b
+        else:
+            cross = x.a < y.a < x.b < y.b or y.a < x.a < y.b < x.b
+        want = HomDim(int(cross), HomWitness("arcs-cross", None, (x, y)))
+        got = ext_via_crossing(x, y)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "x,y,member",
+        [
+            (InfiniteArc(0), InfiniteArc(3), CrossResult.UNDEFINED_INFINITE_INFINITE),
+            (FiniteArc(-1, 2), InfiniteArc(0), CrossResult.CROSS),
+            (FiniteArc(0, 2), InfiniteArc(0), CrossResult.NO_CROSS),
+            (InfiniteArc(1), FiniteArc(0, 3), CrossResult.CROSS),
+            (InfiniteArc(3), FiniteArc(0, 3), CrossResult.NO_CROSS),
+            (FiniteArc(0, 3), FiniteArc(1, 4), CrossResult.CROSS),
+            (FiniteArc(1, 4), FiniteArc(0, 3), CrossResult.CROSS),
+            (FiniteArc(0, 4), FiniteArc(1, 3), CrossResult.NO_CROSS),
+        ],
+    )
+    def test_arcs_cross_returns_the_members(self, x, y, member):
+        assert arcs_cross(x, y) is member
 
 
 class TestOverarcs:

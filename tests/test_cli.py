@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infgon import acceptance
-from infgon.cli import MAX_TRUNCATION, _parse_object, format_object, main
+from infgon.cli import MAX_TRUNCATION, MIN_TRUNCATION, _parse_object, format_object, main
 from infgon.quiver import FiniteInd, PruferInd
 
 FAN_DOC = {"generators": [{"kind": "fan", "vertex": 0}], "infinite_arcs": [0]}
@@ -412,6 +412,32 @@ class TestCheckTruncation:
             f"error: --truncation {truncation} is above the ceiling {MAX_TRUNCATION}\n"
         )
 
+    @pytest.mark.parametrize("truncation", [MIN_TRUNCATION - 1, 0, -1])
+    def test_truncation_below_floor_is_usage_error(
+        self, capsys, monkeypatch, truncation
+    ):
+        calls = []
+        monkeypatch.setattr(
+            acceptance,
+            "ALL_SUITES",
+            [("prufer-prufer-tower", lambda truncation=30: calls.append(truncation))],
+        )
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "check", "--truncation", str(truncation))
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, calls) == (2, "", [])
+        assert err == (
+            f"error: --truncation {truncation} is below the floor {MIN_TRUNCATION}\n"
+        )
+
+    def test_floor_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            acceptance, "ALL_SUITES", [("prufer-prufer-tower", _stub_suite)]
+        )
+        rc, out, _ = run_cli(capsys, "check", "--truncation", str(MIN_TRUNCATION))
+        assert rc == 0
+        assert f"N={MIN_TRUNCATION}" in out
+
     def test_ceiling_itself_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(
             acceptance, "ALL_SUITES", [("prufer-prufer-tower", _stub_suite)]
@@ -425,6 +451,7 @@ class TestCheckTruncation:
             main(["check", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
         assert f"(at most {MAX_TRUNCATION})" in help_text
+        assert f"{MIN_TRUNCATION} or more" in help_text
 
 
 class TestModuleInvocation:

@@ -365,6 +365,64 @@ class TestHomProperties:
         assert ext_dim(a, b).value == ext_dim(b, a).value
 
 
+def docstring_hom(a, b):
+    """Hom(a, b) from the rules in the hom_dim docstring, built through
+    the checking HomDim and HomWitness constructors."""
+    if isinstance(a, FiniteInd) and isinstance(b, FiniteInd):
+        i, j = -a.shift - a.index - 2, -a.shift
+        m, n = -b.shift - b.index - 2, -b.shift
+        if m <= i - 2 and i <= n <= j - 2:
+            region = "minus"
+        elif i <= m <= j - 2 and n >= j:
+            region = "plus"
+        else:
+            region = None
+        return HomDim(int(region is not None), HomWitness("finite-finite", region, (m, n)))
+    if isinstance(a, FiniteInd):
+        j = b.slot - a.shift
+        return HomDim(
+            int(0 <= j <= a.index), HomWitness("finite-prufer", None, (b.slot, j, a.index))
+        )
+    if isinstance(b, FiniteInd):
+        base = a.slot + 2
+        j = base - b.shift
+        return HomDim(
+            int(0 <= j <= b.index), HomWitness("prufer-finite", None, (base, j, b.index))
+        )
+    return HomDim(int(b.slot <= a.slot), HomWitness("prufer-prufer", None, (a.slot, b.slot)))
+
+
+wide_finite = st.builds(FiniteInd, st.integers(-40, 40), st.integers(0, 60))
+wide_prufer = st.builds(PruferInd, st.integers(-40, 40))
+
+
+class TestFlatAnswerPath:
+    # the answer path builds both records without their checks; these
+    # rebuild every answer through the checking constructors
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            (wide_finite, wide_finite),
+            (wide_finite, wide_prufer),
+            (wide_prufer, wide_finite),
+            (wide_prufer, wide_prufer),
+        ],
+        ids=["finite-finite", "finite-prufer", "prufer-finite", "prufer-prufer"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_answers_match_docstring_rules(self, left, right, data):
+        a, b = data.draw(left), data.draw(right)
+        for got, want in (
+            (hom_dim(a, b), docstring_hom(a, b)),
+            (ext_dim(a, b), docstring_hom(a, shift_object(b, 1))),
+        ):
+            assert got == want
+            assert repr(got) == repr(want)
+            assert type(got) is HomDim and type(got.witness) is HomWitness
+
+
 class TestCompositeNonzero:
     def test_slice_composite_is_true(self):
         u = FiniteInd(0, 0)
