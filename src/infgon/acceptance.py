@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -54,7 +53,9 @@ from .graded import (
 from .quiver import (
     FiniteInd,
     PruferInd,
+    _Value,
     _region,
+    _set,
     hom_dim,
     shift_object,
     wedge_contains,
@@ -63,13 +64,17 @@ from .quiver import (
 __all__ = ["SuiteResult", "ALL_SUITES", "run_suite", "run_all"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    checked: int
-    detail: str
-    seconds: float
+class SuiteResult(_Value):
+    __slots__ = __match_args__ = ("name", "passed", "checked", "detail", "seconds")
+
+    def __init__(
+        self, name: str, passed: bool, checked: int, detail: str, seconds: float
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "checked", checked)
+        _set(self, "detail", detail)
+        _set(self, "seconds", seconds)
 
 
 def _finite_arcs(lo: int, hi: int) -> list[FiniteArc]:

@@ -17,7 +17,6 @@ colimit, a path that zigzags forever has colimit zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -29,7 +28,7 @@ from .configurations import (
     DEFAULT_WINDOW,
     materialize,
 )
-from .quiver import FiniteInd, IndObject, PruferInd, hom_dim
+from .quiver import FiniteInd, IndObject, PruferInd, _Value, _set, hom_dim
 
 __all__ = [
     "ApproximationKind",
@@ -53,15 +52,34 @@ class ApproximationKind(Enum):
     PRUFER_OBJECT = "PruferObject"
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
-    kind: ApproximationKind
-    target: Optional[IndObject]
-    fountain_vertex: int
-    limit_slot: int
-    window: tuple[int, int]
-    handled: tuple[Arc, ...]
-    exceptions: tuple[Arc, ...]
+class ApproximationReport(_Value):
+    __slots__ = __match_args__ = (
+        "kind",
+        "target",
+        "fountain_vertex",
+        "limit_slot",
+        "window",
+        "handled",
+        "exceptions",
+    )
+
+    def __init__(
+        self,
+        kind: ApproximationKind,
+        target: Optional[IndObject],
+        fountain_vertex: int,
+        limit_slot: int,
+        window: tuple[int, int],
+        handled: tuple[Arc, ...],
+        exceptions: tuple[Arc, ...],
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "target", target)
+        _set(self, "fountain_vertex", fountain_vertex)
+        _set(self, "limit_slot", limit_slot)
+        _set(self, "window", window)
+        _set(self, "handled", handled)
+        _set(self, "exceptions", exceptions)
 
 
 def approximation_report(
@@ -160,41 +178,40 @@ class Move(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True, slots=True)
-class RidesSliceFrom:
-    slot: int
+class RidesSliceFrom(_Value):
+    __slots__ = __match_args__ = ("slot",)
+
+    def __init__(self, slot: int) -> None:
+        _set(self, "slot", slot)
 
 
-@dataclass(frozen=True, slots=True)
-class ZigzagsForever:
-    pass
+class ZigzagsForever(_Value):
+    __slots__ = ()
 
 
 TailBehavior = Union[RidesSliceFrom, ZigzagsForever]
 
 
-@dataclass(frozen=True)
-class DirectSystemDescriptor:
-    start: Optional[FiniteInd]
-    moves: tuple[Move, ...]
-    tail: TailBehavior
+class DirectSystemDescriptor(_Value):
+    __slots__ = __match_args__ = ("start", "moves", "tail")
 
     def __init__(self, start=None, moves=(), tail=None) -> None:
         if tail is None:
             raise ValueError("a direct system needs an eventual-behavior tag")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "moves", tuple(moves))
-        object.__setattr__(self, "tail", tail)
+        _set(self, "start", start)
+        _set(self, "moves", tuple(moves))
+        _set(self, "tail", tail)
 
 
-@dataclass(frozen=True, slots=True)
-class PruferLimit:
-    slot: int
+class PruferLimit(_Value):
+    __slots__ = __match_args__ = ("slot",)
+
+    def __init__(self, slot: int) -> None:
+        _set(self, "slot", slot)
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroLimit:
-    pass
+class ZeroLimit(_Value):
+    __slots__ = ()
 
 
 SystemLimit = Union[PruferLimit, ZeroLimit]

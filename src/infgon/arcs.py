@@ -14,11 +14,19 @@ the region-based path in :mod:`infgon.quiver`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, _new
+from .quiver import (
+    FiniteInd,
+    HomDim,
+    HomWitness,
+    IndObject,
+    PruferInd,
+    _Value,
+    _new,
+    _set,
+)
 
 __all__ = [
     "FiniteArc",
@@ -37,27 +45,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteArc:
+class FiniteArc(_Value):
     """Arc between integers a < b with b - a >= 2."""
 
-    a: int
-    b: int
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.b - self.a < 2:
-            raise ValueError(f"finite arc needs b - a >= 2, got ({self.a}, {self.b})")
+    def __init__(self, a: int, b: int) -> None:
+        if b - a < 2:
+            raise ValueError(f"finite arc needs b - a >= 2, got ({a}, {b})")
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     @property
     def span(self) -> int:
         return self.b - self.a
 
 
-@dataclass(frozen=True, slots=True)
-class InfiniteArc:
+class InfiniteArc(_Value):
     """Arc from integer m to infinity."""
 
-    m: int
+    __slots__ = __match_args__ = ("m",)
+
+    def __init__(self, m: int) -> None:
+        _set(self, "m", m)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m,))
 
 
 Arc = Union[FiniteArc, InfiniteArc]

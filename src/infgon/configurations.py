@@ -30,7 +30,6 @@ two-sided fountain at m, and that case is moreover cluster tilting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -43,6 +42,7 @@ from .arcs import (
     arcs_cross,
     format_arc,
 )
+from .quiver import _Value, _set
 
 __all__ = [
     "Explicit",
@@ -77,50 +77,73 @@ __all__ = [
 DEFAULT_WINDOW = (-16, 16)
 
 
-@dataclass(frozen=True)
-class Explicit:
-    arcs: frozenset[FiniteArc]
+class Explicit(_Value):
+    __slots__ = __match_args__ = ("arcs",)
 
     def __init__(self, arcs) -> None:
-        object.__setattr__(self, "arcs", frozenset(arcs))
+        _set(self, "arcs", frozenset(arcs))
 
 
-@dataclass(frozen=True, slots=True)
-class Fan:
-    vertex: int
+class Fan(_Value):
+    __slots__ = __match_args__ = ("vertex",)
+
+    def __init__(self, vertex: int) -> None:
+        _set(self, "vertex", vertex)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.vertex == other.vertex
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertex,))
 
 
-@dataclass(frozen=True, slots=True)
-class Zigzag:
-    center: int
+class Zigzag(_Value):
+    __slots__ = __match_args__ = ("center",)
+
+    def __init__(self, center: int) -> None:
+        _set(self, "center", center)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.center == other.center
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.center,))
 
 
-@dataclass(frozen=True, slots=True)
-class SplitFan:
-    p: int
-    q: int
+class SplitFan(_Value):
+    __slots__ = __match_args__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p > self.q:
-            raise ValueError(f"SplitFan needs p <= q, got ({self.p}, {self.q})")
+    def __init__(self, p: int, q: int) -> None:
+        if p > q:
+            raise ValueError(f"SplitFan needs p <= q, got ({p}, {q})")
+        _set(self, "p", p)
+        _set(self, "q", q)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
 
 Generator = Union[Explicit, Fan, Zigzag, SplitFan]
 
 
-@dataclass(frozen=True)
-class ArcConfiguration:
+class ArcConfiguration(_Value):
     """Generators plus slots of arcs to infinity.  Infinite slots are
     stored sorted without duplicates; duplicate generators collapse."""
 
-    generators: tuple[Generator, ...]
-    infinite_arcs: tuple[int, ...]
+    __slots__ = __match_args__ = ("generators", "infinite_arcs")
 
     def __init__(self, generators=(), infinite_arcs=()) -> None:
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(
-            self, "infinite_arcs", tuple(sorted(set(int(m) for m in infinite_arcs)))
-        )
+        _set(self, "generators", tuple(generators))
+        _set(self, "infinite_arcs", tuple(sorted(set(int(m) for m in infinite_arcs))))
 
 
 class FountainFlags(NamedTuple):
@@ -496,19 +519,19 @@ def is_locally_finite(c: ArcConfiguration) -> bool:
 # --- maximality -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedMaximal:
-    pass
+class CertifiedMaximal(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class WindowVerified:
-    pass
+class WindowVerified(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class AddableArc:
-    arc: FiniteArc
+class AddableArc(_Value):
+    __slots__ = __match_args__ = ("arc",)
+
+    def __init__(self, arc: FiniteArc) -> None:
+        _set(self, "arc", arc)
 
 
 MaximalityResult = Union[CertifiedMaximal, WindowVerified, AddableArc]
@@ -573,21 +596,68 @@ class ReasonKind(Enum):
     NOT_LOCALLY_FINITE_NO_INFINITE_ARC = "not_locally_finite_no_infinite_arc"
 
 
-@dataclass(frozen=True)
-class Reason:
-    kind: ReasonKind
-    crossing: Optional[tuple[Arc, Arc]] = None
-    addable: Optional[FiniteArc] = None
-    infinite_slots: tuple[int, ...] = ()
-    fountain_vertex: Optional[int] = None
-    profile: tuple[tuple[int, FountainFlags], ...] = ()
-    facts: tuple[str, ...] = ()
+class Reason(_Value):
+    __slots__ = __match_args__ = (
+        "kind",
+        "crossing",
+        "addable",
+        "infinite_slots",
+        "fountain_vertex",
+        "profile",
+        "facts",
+    )
+
+    def __init__(
+        self,
+        kind: ReasonKind,
+        crossing: Optional[tuple[Arc, Arc]] = None,
+        addable: Optional[FiniteArc] = None,
+        infinite_slots: tuple[int, ...] = (),
+        fountain_vertex: Optional[int] = None,
+        profile: tuple[tuple[int, FountainFlags], ...] = (),
+        facts: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "crossing", crossing)
+        _set(self, "addable", addable)
+        _set(self, "infinite_slots", infinite_slots)
+        _set(self, "fountain_vertex", fountain_vertex)
+        _set(self, "profile", profile)
+        _set(self, "facts", facts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.kind == other.kind
+                and self.crossing == other.crossing
+                and self.addable == other.addable
+                and self.infinite_slots == other.infinite_slots
+                and self.fountain_vertex == other.fountain_vertex
+                and self.profile == other.profile
+                and self.facts == other.facts
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.kind,
+                self.crossing,
+                self.addable,
+                self.infinite_slots,
+                self.fountain_vertex,
+                self.profile,
+                self.facts,
+            )
+        )
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: Verdict
-    reason: Reason
+class Classification(_Value):
+    __slots__ = __match_args__ = ("verdict", "reason")
+
+    def __init__(self, verdict: Verdict, reason: Reason) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "reason", reason)
 
 
 def classify(

@@ -31,7 +31,6 @@ nested tower keeps its inner rows, and its outer ladder reads them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import ceil
 from typing import Optional, Sequence, Union
@@ -39,9 +38,11 @@ from typing import Optional, Sequence, Union
 from .quiver import (
     FiniteInd,
     IndObject,
+    _Value,
     _arc,
     _finite_arc,
     _region,
+    _set,
 )
 
 __all__ = [
@@ -65,24 +66,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteCyclic:
-    shift: int
-    length: int
+class FiniteCyclic(_Value):
+    __slots__ = __match_args__ = ("shift", "length")
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-
-
-@dataclass(frozen=True, slots=True)
-class PolyFree:
-    shift: int
+    def __init__(self, shift: int, length: int) -> None:
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {length}")
+        _set(self, "shift", shift)
+        _set(self, "length", length)
 
 
-@dataclass(frozen=True, slots=True)
-class PruferMod:
-    shift: int
+class PolyFree(_Value):
+    __slots__ = __match_args__ = ("shift",)
+
+    def __init__(self, shift: int) -> None:
+        _set(self, "shift", shift)
+
+
+class PruferMod(_Value):
+    __slots__ = __match_args__ = ("shift",)
+
+    def __init__(self, shift: int) -> None:
+        _set(self, "shift", shift)
 
 
 GradedModuleDescriptor = Union[FiniteCyclic, PolyFree, PruferMod]
@@ -132,8 +137,7 @@ class TowerUnstableError(RuntimeError):
     not settled, so no limit can honestly be reported."""
 
 
-@dataclass(frozen=True, slots=True)
-class HomTower:
+class HomTower(_Value):
     """A truncated tower of hom dimensions along a slice.
 
     dims[i] is the 0/1 dimension at stage i.  transition_nonzero[i]
@@ -142,34 +146,44 @@ class HomTower:
     dimensions are 1.
     """
 
-    dims: tuple[int, ...]
-    transition_nonzero: tuple[bool, ...]
-    direction: TowerDirection
+    __slots__ = __match_args__ = ("dims", "transition_nonzero", "direction")
 
-    def __post_init__(self) -> None:
-        if len(self.transition_nonzero) != len(self.dims) - 1:
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        transition_nonzero: tuple[bool, ...],
+        direction: TowerDirection,
+    ) -> None:
+        if len(transition_nonzero) != len(dims) - 1:
             raise ValueError("need exactly one transition flag per adjacent pair")
-        if any(d not in (0, 1) for d in self.dims):
+        if any(d not in (0, 1) for d in dims):
             raise ValueError("tower dimensions must be 0 or 1")
-        for i, flag in enumerate(self.transition_nonzero):
-            if flag and not (self.dims[i] == 1 and self.dims[i + 1] == 1):
+        for i, flag in enumerate(transition_nonzero):
+            if flag and not (dims[i] == 1 and dims[i + 1] == 1):
                 raise ValueError(
                     f"transition {i} flagged nonzero between dimensions "
-                    f"{self.dims[i]} and {self.dims[i + 1]}"
+                    f"{dims[i]} and {dims[i + 1]}"
                 )
+        _set(self, "dims", dims)
+        _set(self, "transition_nonzero", transition_nonzero)
+        _set(self, "direction", direction)
 
 
-@dataclass(frozen=True, slots=True)
-class TowerColimit:
-    value: int
-    stable_from: int
+class TowerColimit(_Value):
+    __slots__ = __match_args__ = ("value", "stable_from")
+
+    def __init__(self, value: int, stable_from: int) -> None:
+        _set(self, "value", value)
+        _set(self, "stable_from", stable_from)
 
 
-@dataclass(frozen=True, slots=True)
-class TowerLimit:
-    value: int
-    stable_from: int
-    lim1_vanishes: bool = True
+class TowerLimit(_Value):
+    __slots__ = __match_args__ = ("value", "stable_from", "lim1_vanishes")
+
+    def __init__(self, value: int, stable_from: int, lim1_vanishes: bool = True) -> None:
+        _set(self, "value", value)
+        _set(self, "stable_from", stable_from)
+        _set(self, "lim1_vanishes", lim1_vanishes)
 
 
 def _check_ints(func: str, **args: object) -> None:
@@ -184,11 +198,11 @@ def _tower(
 ) -> HomTower:
     # The kernel path: dims are 0/1 and a flag is set only between two
     # nonzero stages by construction, so the checks of
-    # HomTower.__post_init__ are skipped.
+    # HomTower.__init__ are skipped.
     tower = object.__new__(HomTower)
-    object.__setattr__(tower, "dims", dims)
-    object.__setattr__(tower, "transition_nonzero", flags)
-    object.__setattr__(tower, "direction", direction)
+    _set(tower, "dims", dims)
+    _set(tower, "transition_nonzero", flags)
+    _set(tower, "direction", direction)
     return tower
 
 

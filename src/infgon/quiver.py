@@ -34,9 +34,8 @@ constructors.  arcs.ext_via_crossing builds its records the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -56,43 +55,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteInd:
-    """A finite indecomposable: the index-th object on the base diagonal,
-    shifted `shift` times.  The index must be nonnegative; shift is any
-    integer."""
-
-    shift: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
-
-
-@dataclass(frozen=True, slots=True)
-class PruferInd:
-    """The limit object attached to integer slot `slot`.  Shifting by t
-    moves the slot by t."""
-
-    slot: int
-
-
-IndObject = Union[FiniteInd, PruferInd]
-
-
-class RegionPart(Enum):
-    """Which of the two nonzero-map regions to test."""
-
-    MINUS = "minus"
-    PLUS = "plus"
-    EITHER = "either"
+def _repr(x: object, values: tuple) -> str:
+    # Type(field=value, ...) over the fields named in x.__match_args__.
+    fields = ", ".join(f"{f}={v!r}" for f, v in zip(x.__match_args__, values))
+    return f"{type(x).__qualname__}({fields})"
 
 
 class _Record(tuple):
     """An immutable record backed by a tuple.
 
-    Unlike a frozen dataclass it costs one tuple allocation to build.  A
+    Unlike a slot class it costs one tuple allocation to build.  A
     record equals only another record of the same type, never a plain
     tuple, and hashes like the tuple of its fields.  Subclasses name
     their fields in __match_args__ and take them as arguments of __new__.
@@ -114,8 +86,115 @@ class _Record(tuple):
     __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
-        return f"{type(self).__qualname__}({fields})"
+        return _repr(self, self)
+
+
+# A value class sets its fields in __init__ through this one function:
+# its own __setattr__ refuses every assignment.
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value with named fields, stored in slots.
+
+    A subclass lists its fields in __slots__ and __match_args__, in
+    order, and sets each once in a straight-line __init__ through _set;
+    afterwards assignment and deletion raise AttributeError.  Repr,
+    equality, hash, copy and pickle all go by the tuple of fields: the
+    repr reads Type(field=value, ...), an instance equals only an
+    instance of its own type with equal fields and hashes like its field
+    tuple, so set and dict orders stay those of that tuple, and copies
+    and pickles call the constructor on it.  The classes compared or
+    hashed in hot loops override __eq__ and __hash__ with straight-line
+    versions of the same.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # _values(x) is the tuple of the fields of x; with two or more
+        # fields one attrgetter call reads it.
+        names = cls.__match_args__
+        if len(names) > 1:
+            values = attrgetter(*names)
+        elif names:
+            one = attrgetter(names[0])
+            values = lambda x: (one(x),)  # noqa: E731
+        else:
+            values = lambda x: ()  # noqa: E731
+        cls._values = staticmethod(values)
+
+    def __repr__(self) -> str:
+        return _repr(self, self._values(self))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+
+class FiniteInd(_Value):
+    """A finite indecomposable: the index-th object on the base diagonal,
+    shifted `shift` times.  The index must be nonnegative; shift is any
+    integer."""
+
+    __slots__ = __match_args__ = ("shift", "index")
+
+    def __init__(self, shift: int, index: int) -> None:
+        if index < 0:
+            raise ValueError(f"index must be >= 0, got {index}")
+        _set(self, "shift", shift)
+        _set(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.shift == other.shift and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shift, self.index))
+
+
+class PruferInd(_Value):
+    """The limit object attached to integer slot `slot`.  Shifting by t
+    moves the slot by t."""
+
+    __slots__ = __match_args__ = ("slot",)
+
+    def __init__(self, slot: int) -> None:
+        _set(self, "slot", slot)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.slot == other.slot
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.slot,))
+
+
+IndObject = Union[FiniteInd, PruferInd]
+
+
+class RegionPart(Enum):
+    """Which of the two nonzero-map regions to test."""
+
+    MINUS = "minus"
+    PLUS = "plus"
+    EITHER = "either"
 
 
 class HomWitness(_Record):
@@ -176,8 +255,14 @@ class Tristate(Enum):
 
 # Members read in hot paths: through the class each read costs a
 # descriptor lookup that a module global does not.
-_EITHER = RegionPart.EITHER
+_MINUS, _PLUS, _EITHER = RegionPart.MINUS, RegionPart.PLUS, RegionPart.EITHER
 _TRUE, _FALSE, _INDETERMINATE = Tristate.TRUE, Tristate.FALSE, Tristate.INDETERMINATE
+
+
+def _not_finite(func: str, name: str, x: object) -> TypeError:
+    return TypeError(
+        f"{func} is defined for finite objects only, {name} is {type(x).__name__}"
+    )
 
 
 def shift_object(x: IndObject, t: int) -> IndObject:
@@ -201,10 +286,7 @@ def wedge_contains(base: int, obj: FiniteInd) -> bool:
     object in slot `base`.  Raises TypeError when obj is not a FiniteInd.
     """
     if not isinstance(obj, FiniteInd):
-        raise TypeError(
-            f"wedge_contains is defined for finite objects only, "
-            f"obj is {type(obj).__name__}"
-        )
+        raise _not_finite("wedge_contains", "obj", obj)
     j = base - obj.shift
     return 0 <= j <= obj.index
 
@@ -225,24 +307,9 @@ def _region(i: int, j: int, m: int, n: int) -> Optional[str]:
     return None
 
 
-def _composite_true(u: tuple[int, int], v: tuple[int, int], w: tuple[int, int]) -> bool:
-    """The TRUE criterion of composite_nonzero on the arcs of u, v, w,
-    after checking that Hom(u, v) and Hom(v, w) are nonzero."""
-    uv = _region(*u, *v)
-    if uv is None:
-        raise ValueError("composite_nonzero requires Hom(u, v) nonzero")
-    vw = _region(*v, *w)
-    if vw is None:
-        raise ValueError("composite_nonzero requires Hom(v, w) nonzero")
-    return uv == "plus" and vw == "plus" and _region(*u, *w) == "plus"
-
-
 def _finite_arc(func: str, name: str, x: object) -> tuple[int, int]:
     if not isinstance(x, FiniteInd):
-        raise TypeError(
-            f"{func} is defined for finite objects only, "
-            f"{name} is {type(x).__name__}"
-        )
+        raise _not_finite(func, name, x)
     return _arc(x.shift, x.index)
 
 
@@ -255,11 +322,22 @@ def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bo
     belong to the regions.  The minus region sits up-left of the center,
     the plus region down-right; they are disjoint.
     """
-    i, j = _finite_arc("h_region_contains", "center", center)
-    region = _region(i + 1, j + 1, *_finite_arc("h_region_contains", "obj", obj))
+    if not isinstance(center, FiniteInd):
+        raise _not_finite("h_region_contains", "center", center)
+    if not isinstance(obj, FiniteInd):
+        raise _not_finite("h_region_contains", "obj", obj)
+    j = 1 - center.shift
+    n = -obj.shift
+    region = _region(j - center.index - 2, j, n - obj.index - 2, n)
+    if part is _PLUS:
+        return region == "plus"
+    if part is _MINUS:
+        return region == "minus"
     if part is _EITHER:
         return region is not None
-    return region == part.value
+    raise TypeError(
+        f"h_region_contains takes a RegionPart part, part is {type(part).__name__}"
+    )
 
 
 def _hom_dim(func: str, a: IndObject, b: IndObject, t: int) -> HomDim:
@@ -328,11 +406,23 @@ def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:
     Otherwise INDETERMINATE: this test is deliberately not a decision
     procedure.
     """
-    au = _finite_arc("composite_nonzero", "u", u)
-    av = _finite_arc("composite_nonzero", "v", v)
-    aw = _finite_arc("composite_nonzero", "w", w)
-    if _composite_true(au, av, aw):
+    if not isinstance(u, FiniteInd):
+        raise _not_finite("composite_nonzero", "u", u)
+    if not isinstance(v, FiniteInd):
+        raise _not_finite("composite_nonzero", "v", v)
+    if not isinstance(w, FiniteInd):
+        raise _not_finite("composite_nonzero", "w", w)
+    uj, vj, wj = -u.shift, -v.shift, -w.shift
+    ui, vi, wi = uj - u.index - 2, vj - v.index - 2, wj - w.index - 2
+    uv = _region(ui, uj, vi, vj)
+    if uv is None:
+        raise ValueError("composite_nonzero requires Hom(u, v) nonzero")
+    vw = _region(vi, vj, wi, wj)
+    if vw is None:
+        raise ValueError("composite_nonzero requires Hom(v, w) nonzero")
+    uw = _region(ui, uj, wi, wj)
+    if uv == "plus" and vw == "plus" and uw == "plus":
         return _TRUE
-    if _region(*au, *aw) is None:
+    if uw is None:
         return _FALSE
     return _INDETERMINATE

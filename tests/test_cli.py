@@ -490,19 +490,25 @@ class TestModuleInvocation:
         )
 
 
-# Runs main(argv) in a fresh interpreter and prints its exit code and the
-# infgon submodules it loaded, as one JSON line after the command's output.
+# Runs main(argv) in a fresh interpreter and prints, as one JSON line after
+# the command's output, its exit code, the infgon submodules it loaded and
+# which of _SLOW_STDLIB it loaded that the bare interpreter had not.
 _LOADED_PROBE = (
     "import json, sys\n"
+    "bare = set(sys.modules)\n"
     "from infgon.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('infgon.'))]))\n"
+    "print(json.dumps([\n"
+    "    rc,\n"
+    "    sorted(m for m in sys.modules if m.startswith('infgon.')),\n"
+    "    sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules and m not in bare),\n"
+    "]))\n"
 )
 
 _HEAVY = ("graded", "approximations", "diagram")
 
 
-def _loaded_modules(argv):
+def _probe(argv):
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, *argv],
         capture_output=True,
@@ -510,9 +516,26 @@ def _loaded_modules(argv):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    rc, loaded, slow = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0
-    return {name.removeprefix("infgon.") for name in loaded}
+    return {name.removeprefix("infgon.") for name in loaded}, slow
+
+
+def _loaded_modules(argv):
+    return _probe(argv)[0]
+
+
+_MODULES = (
+    "infgon",
+    "infgon.quiver",
+    "infgon.arcs",
+    "infgon.configurations",
+    "infgon.graded",
+    "infgon.approximations",
+    "infgon.diagram",
+    "infgon.acceptance",
+    "infgon.cli",
+)
 
 
 class TestImportBoundary:
@@ -542,6 +565,36 @@ class TestImportBoundary:
         loaded = _loaded_modules([*argv, "--config", zig_config])
         assert "configurations" in loaded
         assert loaded.isdisjoint(("acceptance", *_HEAVY))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--from", "f:0:0", "--to", "p:1"],
+            ["classify"],
+            ["witness", "approximation", "--d", "f:0:0"],
+            ["render", "--highlight-crossings"],
+        ],
+    )
+    def test_commands_skip_dataclasses_and_inspect(self, argv, fan_config):
+        if argv[0] != "hom":
+            argv = [*argv, "--config", fan_config]
+        assert _probe(argv)[1] == []
+
+    @pytest.mark.parametrize("module", _MODULES)
+    def test_no_module_imports_dataclasses(self, module):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, sys; bare = set(sys.modules); "
+                f"import {module}; print(json.dumps(sorted(set(sys.modules) - bare)))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dataclasses" not in json.loads(proc.stdout)
 
 
 # --- properties at the command-line boundary --------------------------------

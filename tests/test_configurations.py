@@ -6,7 +6,6 @@ confront them with window materializations, which replay the same
 questions by exhaustive pairwise crossing scans.
 """
 
-import dataclasses
 import json
 import re
 import time
@@ -27,6 +26,7 @@ from infgon import (
     FountainFlags,
     InfiniteArc,
     PruferInd,
+    Reason,
     ReasonKind,
     SplitFan,
     Verdict,
@@ -381,8 +381,8 @@ def translate_reason(r, t):
     def at(v):
         return None if v is None else v + t
 
-    return dataclasses.replace(
-        r,
+    return Reason(
+        kind=r.kind,
         crossing=r.crossing and tuple(translate_arc(x, t) for x in r.crossing),
         addable=r.addable and translate_arc(r.addable, t),
         infinite_slots=tuple(m + t for m in r.infinite_slots),

@@ -226,6 +226,15 @@ class TestHRegions:
         assert h_region_contains(center, FiniteInd(2, 0), RegionPart.MINUS)
         assert not h_region_contains(center, FiniteInd(1, 0), RegionPart.EITHER)
 
+    def test_bad_arguments_rejected_by_name(self):
+        x = FiniteInd(0, 0)
+        with pytest.raises(TypeError, match="h_region_contains .* center is PruferInd"):
+            h_region_contains(PruferInd(0), x, RegionPart.PLUS)
+        with pytest.raises(TypeError, match="h_region_contains .* obj is FiniteArc"):
+            h_region_contains(x, FiniteArc(0, 2), RegionPart.PLUS)
+        with pytest.raises(TypeError, match="RegionPart part, part is str"):
+            h_region_contains(x, x, "plus")
+
 
 class TestWedge:
     def test_known_members(self):
@@ -461,7 +470,7 @@ class TestCompositeNonzero:
         u = FiniteInd(0, 0)
         v = FiniteInd(1, 0)
         assert hom_dim(u, v).value == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"requires Hom\(u, v\) nonzero"):
             composite_nonzero(u, v, FiniteInd(0, 0))
 
     def test_requires_nonzero_second_hom(self):
@@ -470,12 +479,22 @@ class TestCompositeNonzero:
         w = FiniteInd(0, 0)
         assert hom_dim(u, v).value == 1
         assert hom_dim(v, w).value == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"requires Hom\(v, w\) nonzero"):
             composite_nonzero(u, v, w)
 
     def test_rejects_prufer_arguments(self):
         with pytest.raises(TypeError):
             composite_nonzero(FiniteInd(0, 0), PruferInd(0), FiniteInd(-1, 1))
+
+    @pytest.mark.parametrize("k,name", [(0, "u"), (1, "v"), (2, "w")])
+    def test_non_finite_argument_named(self, k, name):
+        args = [FiniteInd(0, 0), FiniteInd(-1, 1), FiniteInd(-2, 2)]
+        args[k] = PruferInd(0)
+        with pytest.raises(
+            TypeError,
+            match=f"composite_nonzero is defined for finite objects only, {name} is PruferInd",
+        ):
+            composite_nonzero(*args)
 
     def test_slice_tower_monotonicity(self):
         # for a wedge member, once the hom dims along the slice tower hit 1
