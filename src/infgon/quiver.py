@@ -322,13 +322,9 @@ def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bo
     belong to the regions.  The minus region sits up-left of the center,
     the plus region down-right; they are disjoint.
     """
-    if not isinstance(center, FiniteInd):
-        raise _not_finite("h_region_contains", "center", center)
-    if not isinstance(obj, FiniteInd):
-        raise _not_finite("h_region_contains", "obj", obj)
-    j = 1 - center.shift
-    n = -obj.shift
-    region = _region(j - center.index - 2, j, n - obj.index - 2, n)
+    i, j = _finite_arc("h_region_contains", "center", center)
+    m, n = _finite_arc("h_region_contains", "obj", obj)
+    region = _region(i + 1, j + 1, m, n)
     if part is _PLUS:
         return region == "plus"
     if part is _MINUS:
@@ -406,14 +402,9 @@ def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:
     Otherwise INDETERMINATE: this test is deliberately not a decision
     procedure.
     """
-    if not isinstance(u, FiniteInd):
-        raise _not_finite("composite_nonzero", "u", u)
-    if not isinstance(v, FiniteInd):
-        raise _not_finite("composite_nonzero", "v", v)
-    if not isinstance(w, FiniteInd):
-        raise _not_finite("composite_nonzero", "w", w)
-    uj, vj, wj = -u.shift, -v.shift, -w.shift
-    ui, vi, wi = uj - u.index - 2, vj - v.index - 2, wj - w.index - 2
+    ui, uj = _finite_arc("composite_nonzero", "u", u)
+    vi, vj = _finite_arc("composite_nonzero", "v", v)
+    wi, wj = _finite_arc("composite_nonzero", "w", w)
     uv = _region(ui, uj, vi, vj)
     if uv is None:
         raise ValueError("composite_nonzero requires Hom(u, v) nonzero")
