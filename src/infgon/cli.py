@@ -13,7 +13,6 @@ the oracle suites.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Optional
@@ -33,9 +32,13 @@ from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, ext_dim
 SCHEMA = "infgon/1"
 # The tower truncations `check` accepts.  The nested tower suite needs
 # at least 4, and grows with the square of its truncation: at 240 the
-# three tower suites take about 13 s on a 2-core host.
+# three tower suites take about 5 s on a 2-core host, 1.7 s of it in the
+# nested one.
 MIN_TRUNCATION = 4
 MAX_TRUNCATION = 240
+# The widest window `render` draws.  Its time and output grow with the
+# window's width, not with the configuration: about 85 MB at 400000.
+MAX_RENDER_WIDTH = 10000
 
 __all__ = ["main"]
 
@@ -142,6 +145,8 @@ def _reason_doc(r) -> dict:
 
 
 def _emit_json(doc: dict) -> None:
+    import json
+
     doc = {"schema": SCHEMA, **doc}
     print(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -369,6 +374,13 @@ def _cmd_render(args) -> int:
 
     config = load_configuration(args.config)
     window = _parse_window(args.window)
+    lo, hi = window
+    if hi - lo > MAX_RENDER_WIDTH:
+        print(
+            f"error: --window {lo}:{hi} is wider than the ceiling {MAX_RENDER_WIDTH}",
+            file=sys.stderr,
+        )
+        return 2
     svg = render_svg(config, window, highlight_crossings=args.highlight_crossings)
     if args.out is None:
         sys.stdout.write(svg)
@@ -433,7 +445,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("render", _cmd_render, "render a configuration window to SVG")
     p.add_argument("--config", required=True, metavar="PATH")
-    p.add_argument("--window", default="-8:8", metavar="LO:HI")
+    p.add_argument(
+        "--window",
+        default="-8:8",
+        metavar="LO:HI",
+        help=f"window to draw, at most {MAX_RENDER_WIDTH} wide (HI - LO)",
+    )
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--highlight-crossings", action="store_true")
 

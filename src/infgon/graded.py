@@ -287,12 +287,17 @@ def build_inverse_hom_tower(
     return _tower(dims, flags, TowerDirection.INVERSE)
 
 
+def _quarter(truncation: int) -> int:
+    # How many trailing entries and flags a tower must hold constant.
+    return max(1, ceil(truncation / 4))
+
+
 def _stable_split(dims: Sequence[int], flags: Sequence[bool]) -> int:
     # First index from which dims and flags both sit at their final
     # constant values; raises if the settled tail is shorter than a
     # quarter of the truncation.
     n = len(dims) - 1
-    quarter = max(1, ceil(n / 4))
+    quarter = _quarter(n)
     sd = n
     while sd > 0 and dims[sd - 1] == dims[-1]:
         sd -= 1
@@ -369,8 +374,13 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     run to twice the requested truncation so that they stay stable for
     outer stages near the end.
 
-    Each (outer stage, inner stage) pair costs one kernel call, and the
-    inner towers are built from these rows.  The caller must pick the
+    An inner tower's settlement and value depend only on its last q =
+    ceil(truncation / 2) dims and flags, so each outer stage reads the
+    kernel only over the last q + 1 inner stages, and the inner step row
+    only over the same tail: (N + 1)(q + 1) + q + N kernel calls at
+    truncation N, against (N + 1)(2N + 1) + 3N for the full rows.  An
+    inner tower whose tail is not constant is rebuilt in full so that it
+    raises exactly as truncated_colim would.  The caller must pick the
     truncation large enough relative to |m - n|: TowerUnstableError is
     raised when m - n > truncation - ceil(truncation / 4), and
     propagates from any tower that does not settle.  Raises TypeError
@@ -390,12 +400,20 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
         )
     stages = _slice_arcs(m, truncation)
     targets = _slice_arcs(n, 2 * truncation)
-    target_step = _step_row(targets)
+    # _stable_split of an inner tower raises exactly when its last
+    # `quarter` dims or its last `quarter` flags are not all equal, and
+    # _tail_value reads the last of each; flag k needs rows k and k + 1.
+    quarter = _quarter(2 * truncation)
+    tail = targets[-quarter - 1 :]
+    tail_step = _step_row(tail)
     dims = []
     for y in stages:
-        row = _probe_row(y, targets)
-        inner_dims, inner_flags = _dims(row), _flags([r == "plus" for r in row], target_step)
-        _stable_split(inner_dims, inner_flags)  # raises when the inner tower has not settled
+        row = _probe_row(y, tail)
+        inner_dims, inner_flags = _dims(row), _flags([r == "plus" for r in row], tail_step)
+        if len(set(inner_dims[1:])) > 1 or len(set(inner_flags)) > 1:
+            # Not settled: the full inner tower raises with its own split.
+            row = _probe_row(y, targets)
+            _stable_split(_dims(row), _flags([r == "plus" for r in row], _step_row(targets)))
         dims.append(_tail_value(inner_dims, inner_flags))
     # The ladder of composites stage_j -> stage_{j+1} -> inner stage over
     # the settled part of both inner towers cannot turn a flag off, so it

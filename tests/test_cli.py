@@ -16,8 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import acceptance
-from infgon.cli import MAX_TRUNCATION, MIN_TRUNCATION, _parse_object, format_object, main
+from infgon import acceptance, diagram
+from infgon.cli import (
+    MAX_RENDER_WIDTH,
+    MAX_TRUNCATION,
+    MIN_TRUNCATION,
+    _parse_object,
+    format_object,
+    main,
+)
 from infgon.quiver import FiniteInd, PruferInd
 
 FAN_DOC = {"generators": [{"kind": "fan", "vertex": 0}], "infinite_arcs": [0]}
@@ -297,6 +304,25 @@ class TestRender:
         assert rc == 0
         assert out.count("crossing") >= 2
 
+    @pytest.mark.parametrize("window", ["-2000000:2000000", f"0:{MAX_RENDER_WIDTH + 1}"])
+    def test_window_above_ceiling_is_usage_error(self, capsys, monkeypatch, zig_config, window):
+        # the stub records a call; a real drawing at 4 000 000 would not end
+        calls = []
+        monkeypatch.setattr(diagram, "render_svg", lambda *a, **k: calls.append(a) or "")
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "render", "--config", zig_config, "--window", window)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, calls) == (2, "", [])
+        assert err == f"error: --window {window} is wider than the ceiling {MAX_RENDER_WIDTH}\n"
+
+    def test_window_at_ceiling_is_drawn(self, capsys, fan_config):
+        half = MAX_RENDER_WIDTH // 2
+        rc, out, _ = run_cli(
+            capsys, "render", "--config", fan_config, "--window", f"{-half}:{half}"
+        )
+        assert rc == 0
+        assert out.count('class="ray"') == 1
+
 
 class TestErrorPaths:
     def test_bad_arc_is_domain_error(self, capsys):
@@ -491,17 +517,21 @@ class TestModuleInvocation:
 
 
 # Runs main(argv) in a fresh interpreter and prints, as one JSON line after
-# the command's output, its exit code, the infgon submodules it loaded and
-# which of _SLOW_STDLIB it loaded that the bare interpreter had not.
+# the command's output, its exit code, the infgon submodules it loaded,
+# which of dataclasses and inspect it loaded that the bare interpreter had
+# not, and whether it so loaded json.
 _LOADED_PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "bare = set(sys.modules)\n"
     "from infgon.cli import main\n"
     "rc = main(sys.argv[1:])\n"
+    "late = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules and m not in bare]\n"
+    "import json\n"
     "print(json.dumps([\n"
     "    rc,\n"
     "    sorted(m for m in sys.modules if m.startswith('infgon.')),\n"
-    "    sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules and m not in bare),\n"
+    "    sorted(m for m in late if m != 'json'),\n"
+    "    'json' in late,\n"
     "]))\n"
 )
 
@@ -516,9 +546,9 @@ def _probe(argv):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    rc, loaded, slow = json.loads(proc.stdout.splitlines()[-1])
+    rc, loaded, slow, late_json = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0
-    return {name.removeprefix("infgon.") for name in loaded}, slow
+    return {name.removeprefix("infgon.") for name in loaded}, slow, late_json
 
 
 def _loaded_modules(argv):
@@ -549,9 +579,11 @@ class TestImportBoundary:
         ],
     )
     def test_kernel_commands_load_only_the_kernel(self, argv):
-        loaded = _loaded_modules(argv)
+        loaded, _, late_json = _probe(argv)
         assert {"quiver", "arcs", "cli"} <= loaded
         assert loaded.isdisjoint(("configurations", "acceptance", *_HEAVY))
+        if "--json" not in argv:  # json is loaded only to emit a document
+            assert not late_json
 
     @pytest.mark.parametrize(
         "argv",

@@ -34,6 +34,7 @@ from infgon import (
     truncated_lim,
     wedge_contains,
 )
+from infgon import graded
 
 
 class TestFImage:
@@ -257,7 +258,7 @@ class TestPruferPruferTower:
         with pytest.raises(TowerUnstableError):
             prufer_prufer_tower(longest - 1, -2, truncation)
 
-    @pytest.mark.parametrize("truncation", [*range(4, 13), 30])
+    @pytest.mark.parametrize("truncation", [*range(4, 13), 30, 31])
     def test_matches_public_nested_route(self, truncation):
         # every gap from where the inner towers stop settling to past the
         # gap bound; the base slot moves with the gap
@@ -271,6 +272,61 @@ class TestPruferPruferTower:
             assert got == want, (gap, n, truncation)
             answers.add(got if isinstance(got, int) else got[0])
         assert answers == {0, 1, "TowerUnstableError"}
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_tail_read_matches_full_rows(self, data):
+        truncation = data.draw(st.integers(4, 64), label="truncation")
+        gap = data.draw(st.integers(-3 * truncation, truncation + 2), label="gap")
+        n = data.draw(st.integers(-20, 20), label="n")
+        assert _value_or_error(prufer_prufer_tower, gap + n, n, truncation) == _value_or_error(
+            nested_by_full_rows, gap + n, n, truncation
+        )
+
+    @pytest.mark.parametrize("gap,raises", [(6, False), (-60, True)])
+    def test_kernel_reads_bounded_by_tail(self, monkeypatch, gap, raises):
+        # N = 60: the full rows cost (N + 1)(2N + 1) + 3N = 7561 reads
+        truncation, quarter = 60, 30
+        tail_reads = (truncation + 1) * (quarter + 1) + quarter + truncation
+        calls, region = [], graded._region
+
+        def counting_region(*args):
+            calls.append(args)
+            return region(*args)
+
+        monkeypatch.setattr(graded, "_region", counting_region)
+        got = _value_or_error(prufer_prufer_tower, gap, 0, truncation)
+        monkeypatch.undo()
+        assert got == _value_or_error(nested_by_full_rows, gap, 0, truncation)
+        assert isinstance(got, tuple) == raises
+        # a tail that has not settled rebuilds one full inner row to raise
+        full_row = (2 * truncation + 1) + 2 * truncation
+        assert len(calls) <= tail_reads + (full_row if raises else 0)
+
+
+def nested_by_full_rows(m, n, truncation):
+    """The nested tower with every inner tower read over all 2N + 1 of
+    its stages, one kernel call per (outer stage, inner stage) pair."""
+    longest_gap = truncation - ceil(truncation / 4)
+    if m - n > longest_gap:
+        raise TowerUnstableError(
+            f"truncation {truncation} is too short for slots {m} and {n}: "
+            f"the nested tower settles only for m - n <= {longest_gap}"
+        )
+    stages = graded._slice_arcs(m, truncation)
+    targets = graded._slice_arcs(n, 2 * truncation)
+    target_step = graded._step_row(targets)
+    dims = []
+    for y in stages:
+        row = graded._probe_row(y, targets)
+        inner_flags = graded._flags([r == "plus" for r in row], target_step)
+        inner_dims = graded._dims(row)
+        graded._stable_split(inner_dims, inner_flags)
+        dims.append(graded._tail_value(inner_dims, inner_flags))
+    step = graded._step_row(stages)
+    flags = [dims[j] == 1 and dims[j + 1] == 1 and step[j] for j in range(truncation)]
+    graded._stable_split(dims, flags)
+    return graded._tail_value(dims, flags)
 
 
 def _value_or_error(fn, *args):

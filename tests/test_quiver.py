@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infgon import (
+    CrossResult,
     FiniteArc,
     FiniteInd,
     HomDim,
@@ -28,8 +29,10 @@ from infgon import (
     h_region_contains,
     hom_dim,
     shift_object,
+    arcs_cross,
     wedge_contains,
 )
+from infgon.quiver import _region
 
 
 def h_region_set(center, part, m_lo, m_hi, n_lo, n_hi):
@@ -525,3 +528,61 @@ class TestCompositeNonzero:
             assert hom_dim(u, w).value == 1
         elif verdict is Tristate.FALSE:
             assert hom_dim(u, w).value == 0
+
+
+# --- the kernel on all integers, by compression --------------------------------
+
+
+def compress(x, y):
+    """Map the endpoints of two finite arcs in order onto small integers:
+    the least goes to 0 and every gap between neighbours is capped at 2.
+
+    Every comparison the kernel and the crossing test make between two
+    arcs, also after the shifts of the bridge and of Serre duality, reads
+    u - v >= c for two endpoints with -1 <= c <= 2.  A gap of at least 2
+    stays at least 2 and a gap of 1 or 0 is kept, so each such comparison
+    keeps its answer, and the pair lands in [0, 6]."""
+    ends = sorted({x.a, x.b, y.a, y.b})
+    image = {ends[0]: 0}
+    for lo, hi in zip(ends, ends[1:]):
+        image[hi] = image[lo] + min(hi - lo, 2)
+    return FiniteArc(image[x.a], image[x.b]), FiniteArc(image[y.a], image[y.b])
+
+
+def kernel_answers(x, y):
+    """arcs_cross(x, y), Hom(x, y), Ext(x, y) = Hom(x, Sigma y) and
+    Hom(y, Sigma^2 x) on the hom kernel; Sigma moves an arc by -1."""
+    i, j, m, n = x.a, x.b, y.a, y.b
+    return (
+        arcs_cross(x, y),
+        _region(i, j, m, n),
+        _region(i, j, m - 1, n - 1),
+        _region(m, n, i - 2, j - 2),
+    )
+
+
+_far = st.integers(-(10**9), 10**9)
+_span = st.one_of(st.integers(2, 5), st.integers(2, 10**9))
+_offset = st.one_of(st.integers(-5, 5), st.integers(-(10**9), 10**9))
+
+
+class TestCompression:
+    @given(_far, _span, _offset, _span)
+    @settings(max_examples=200)
+    def test_compression_keeps_the_kernel(self, a, span, offset, other_span):
+        x = FiniteArc(a, a + span)
+        y = FiniteArc(a + offset, a + offset + other_span)
+        cx, cy = compress(x, y)
+        assert 0 <= min(cx.a, cy.a) and max(cx.b, cy.b) <= 6
+        assert kernel_answers(cx, cy) == kernel_answers(x, y)
+
+    def test_identities_on_every_compressed_pair(self):
+        # with the property above, these 225 pairs give the crossing-ext
+        # bridge and Serre duality for all integers
+        arcs = [FiniteArc(a, b) for a in range(7) for b in range(a + 2, 7)]
+        assert len(arcs) == 15
+        for x in arcs:
+            for y in arcs:
+                cross, hom, ext, dual = kernel_answers(x, y)
+                assert (cross is CrossResult.CROSS) is (ext is not None), (x, y)
+                assert (hom is None) is (dual is None), (x, y)
