@@ -36,9 +36,13 @@ SCHEMA = "infgon/1"
 # nested one.
 MIN_TRUNCATION = 4
 MAX_TRUNCATION = 240
-# The widest window `render` draws.  Its time and output grow with the
-# window's width, not with the configuration: about 85 MB at 400000.
+# The widest window `render` draws, and `witness approximation` reports
+# on.  Their time and output grow with the window's width, not with the
+# configuration: about 85 MB of drawing at 400000.
 MAX_RENDER_WIDTH = 10000
+# The longest chain `witness antichain` builds: about 0.3 s and 200 KB
+# of output.
+MAX_ANTICHAIN_COUNT = 10000
 
 __all__ = ["main"]
 
@@ -151,6 +155,15 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _past_ceiling(claim: str, size: int, ceiling: int) -> bool:
+    # The one usage error for an input that sizes the work and output,
+    # checked before any work; claim reads "--flag VALUE is above".
+    if size <= ceiling:
+        return False
+    print(f"error: {claim} the ceiling {ceiling}", file=sys.stderr)
+    return True
+
+
 # --- command handlers -----------------------------------------------------
 
 
@@ -241,13 +254,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check(args) -> int:
     n = args.truncation
-    if n is not None and not MIN_TRUNCATION <= n <= MAX_TRUNCATION:
-        bound = (
-            f"below the floor {MIN_TRUNCATION}"
-            if n < MIN_TRUNCATION
-            else f"above the ceiling {MAX_TRUNCATION}"
-        )
-        print(f"error: --truncation {n} is {bound}", file=sys.stderr)
+    if n is not None and n < MIN_TRUNCATION:
+        floor = f"below the floor {MIN_TRUNCATION}"
+        print(f"error: --truncation {n} is {floor}", file=sys.stderr)
+        return 2
+    if n is not None and _past_ceiling(f"--truncation {n} is above", n, MAX_TRUNCATION):
         return 2
     from .acceptance import run_all
 
@@ -313,13 +324,16 @@ def _cmd_witness(args) -> int:
         seed = parse_arc(args.seed)
         if not isinstance(seed, FiniteArc):
             raise ValueError("antichain seed must be a finite arc")
-        chain = overarc_antichain(config, seed, args.count)
+        n = args.count
+        if _past_ceiling(f"--count {n} is above", n, MAX_ANTICHAIN_COUNT):
+            return 2
+        chain = overarc_antichain(config, seed, n)
         if args.json:
             _emit_json(
                 {
                     "command": "witness-antichain",
                     "seed": format_arc(seed),
-                    "count": args.count,
+                    "count": n,
                     "chain": [format_arc(t) for t in chain],
                 }
             )
@@ -332,7 +346,9 @@ def _cmd_witness(args) -> int:
     if args.d is None:
         raise ValueError("witness approximation needs --d")
     d = _parse_object(args.d)
-    window = _parse_window(args.window)
+    lo, hi = window = _parse_window(args.window)
+    if _past_ceiling(f"--window {lo}:{hi} is wider than", hi - lo, MAX_RENDER_WIDTH):
+        return 2
     report = approximation_report(config, d, window)
     if args.json:
         _emit_json(
@@ -373,13 +389,8 @@ def _cmd_render(args) -> int:
     from .diagram import render_svg
 
     config = load_configuration(args.config)
-    window = _parse_window(args.window)
-    lo, hi = window
-    if hi - lo > MAX_RENDER_WIDTH:
-        print(
-            f"error: --window {lo}:{hi} is wider than the ceiling {MAX_RENDER_WIDTH}",
-            file=sys.stderr,
-        )
+    lo, hi = window = _parse_window(args.window)
+    if _past_ceiling(f"--window {lo}:{hi} is wider than", hi - lo, MAX_RENDER_WIDTH):
         return 2
     svg = render_svg(config, window, highlight_crossings=args.highlight_crossings)
     if args.out is None:
@@ -439,9 +450,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--target", metavar="ARC_OR_INT")
     p.add_argument("--seed", metavar="ARC")
-    p.add_argument("--count", type=int, default=3, metavar="N")
+    p.add_argument(
+        "--count",
+        type=int,
+        default=3,
+        metavar="N",
+        help=f"antichain length, at most {MAX_ANTICHAIN_COUNT}",
+    )
     p.add_argument("--d", metavar="ARC_OR_OBJ")
-    p.add_argument("--window", default="-12:12", metavar="LO:HI")
+    p.add_argument(
+        "--window",
+        default="-12:12",
+        metavar="LO:HI",
+        help=f"approximation window, at most {MAX_RENDER_WIDTH} wide (HI - LO)",
+    )
 
     p = add("render", _cmd_render, "render a configuration window to SVG")
     p.add_argument("--config", required=True, metavar="PATH")

@@ -11,6 +11,12 @@ arcs to infinity.  Four generator kinds exist.
   half-fan out of q, and the finite bridge (p, j) for p+2 <= j <= q.
   SplitFan(m, m) coincides with Fan(m).
 
+A configuration is normalized once, when it is built: its Explicit sets
+merge into one, and a repeated family, SplitFan(m, m) counting as
+Fan(m), is dropped.  Its `generators` field keeps them as written, for
+repr, equality and the file format; every check and verdict reads the
+normal form.
+
 Fan, Zigzag and SplitFan each describe a maximal non-crossing family, so
 an arc is compatible with one of them exactly when it is a member, and
 two distinct families always cross.  A family has at most three members
@@ -90,28 +96,12 @@ class Fan(_Value):
     def __init__(self, vertex: int) -> None:
         _set(self, "vertex", vertex)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.vertex == other.vertex
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vertex,))
-
 
 class Zigzag(_Value):
     __slots__ = __match_args__ = ("center",)
 
     def __init__(self, center: int) -> None:
         _set(self, "center", center)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.center == other.center
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.center,))
 
 
 class SplitFan(_Value):
@@ -123,27 +113,64 @@ class SplitFan(_Value):
         _set(self, "p", p)
         _set(self, "q", q)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
 
 Generator = Union[Explicit, Fan, Zigzag, SplitFan]
 
 
-class ArcConfiguration(_Value):
-    """Generators plus slots of arcs to infinity.  Infinite slots are
-    stored sorted without duplicates; duplicate generators collapse."""
+def _not_a(kinds: str, name: str, x: object) -> TypeError:
+    return TypeError(f"ArcConfiguration takes {kinds}, {name} is {type(x).__name__}")
 
-    __slots__ = __match_args__ = ("generators", "infinite_arcs")
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class ArcConfiguration(_Value):
+    """Generators plus slots of arcs to infinity.
+
+    The fields are `generators`, kept as written, and `infinite_arcs`,
+    stored sorted without duplicates.  The constructor normalizes once,
+    into two derived slots that are not fields: `_explicit`, the union
+    of the Explicit arc sets, and `_families`, the other generators
+    without repeats, compared with SplitFan(m, m) read as Fan(m) and
+    kept in their first spelling, so crossing witnesses stay those of
+    the generators as written.  Every question about the configuration
+    reads those two.  Raises TypeError on a generator that is not
+    Explicit, Fan, Zigzag or SplitFan, an explicit arc that is not a
+    FiniteArc, or a family parameter or slot that is not an int."""
+
+    __slots__ = ("generators", "infinite_arcs", "_explicit", "_families")
+    __match_args__ = ("generators", "infinite_arcs")
 
     def __init__(self, generators=(), infinite_arcs=()) -> None:
-        _set(self, "generators", tuple(generators))
-        _set(self, "infinite_arcs", tuple(sorted(set(int(m) for m in infinite_arcs))))
+        generators, slots = tuple(generators), tuple(infinite_arcs)
+        explicit: set[FiniteArc] = set()
+        families: list[Generator] = []
+        seen: set[Generator] = set()
+        for k, g in enumerate(generators):
+            where = f"generators[{k}]"
+            if isinstance(g, Explicit):
+                for t in g.arcs:
+                    if not isinstance(t, FiniteArc):
+                        raise _not_a("FiniteArc explicit arcs", f"an arc of {where}", t)
+                explicit |= g.arcs
+                continue
+            if not isinstance(g, (Fan, Zigzag, SplitFan)):
+                raise _not_a("Explicit, Fan, Zigzag or SplitFan generators", where, g)
+            for name, x in zip(g.__match_args__, g._values(g)):
+                if not _is_int(x):
+                    raise _not_a("int family parameters", f"{where}.{name}", x)
+            canon = Fan(g.p) if isinstance(g, SplitFan) and g.p == g.q else g
+            if canon not in seen:
+                seen.add(canon)
+                families.append(g)
+        for k, m in enumerate(slots):
+            if not _is_int(m):
+                raise _not_a("int infinite arc slots", f"infinite_arcs[{k}]", m)
+        _set(self, "generators", generators)
+        _set(self, "infinite_arcs", tuple(sorted(set(slots))))
+        _set(self, "_explicit", frozenset(explicit))
+        _set(self, "_families", tuple(families))
 
 
 class FountainFlags(NamedTuple):
@@ -249,30 +276,7 @@ def load_configuration(path: str) -> ArcConfiguration:
 # --- structure helpers ----------------------------------------------------
 
 
-def _split_generators(
-    c: ArcConfiguration,
-) -> tuple[frozenset[FiniteArc], list[Generator]]:
-    """Merge Explicit generators into one arc set, deduplicate the rest
-    preserving order.  Families are compared in canonical form, with
-    SplitFan(m, m) read as Fan(m); the first spelling of each is kept,
-    so its crossing witnesses stay those of the generator as written."""
-    explicit: set[FiniteArc] = set()
-    bigs: list[Generator] = []
-    seen: set[Generator] = set()
-    for g in c.generators:
-        if isinstance(g, Explicit):
-            explicit |= g.arcs
-            continue
-        canon = Fan(g.p) if isinstance(g, SplitFan) and g.p == g.q else g
-        if canon not in seen:
-            seen.add(canon)
-            bigs.append(g)
-    return frozenset(explicit), bigs
-
-
 def _family_member(g: Generator, arc: FiniteArc) -> bool:
-    if isinstance(g, Explicit):
-        return arc in g.arcs
     if isinstance(g, Fan):
         return arc.a == g.vertex or arc.b == g.vertex
     if isinstance(g, Zigzag):
@@ -337,11 +341,6 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
     crosses something, because the families are maximal: Fan answers by
     a fixed closed form, Zigzag and SplitFan with their least crossing
     member by (span, a)."""
-    if isinstance(g, Explicit):
-        for t in sorted(g.arcs, key=arc_sort_key):
-            if arcs_cross(t, arc) is _CROSS:
-                return t
-        return None
     if isinstance(g, Fan):
         v = g.vertex
         if arc.b < v:
@@ -358,11 +357,6 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
 
 def _infinite_vs_generator(g: Generator, m: int) -> Optional[FiniteArc]:
     """A family arc crossed by the infinite arc at m, or None."""
-    if isinstance(g, Explicit):
-        for t in sorted(g.arcs, key=arc_sort_key):
-            if t.a < m < t.b:
-                return t
-        return None
     if isinstance(g, Fan):
         v = g.vertex
         if m == v:
@@ -416,9 +410,8 @@ def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    explicit, bigs = _split_generators(c)
-    arcs = {t for t in explicit if lo <= t.a and t.b <= hi}
-    for g in bigs:
+    arcs = {t for t in c._explicit if lo <= t.a and t.b <= hi}
+    for g in c._families:
         arcs.update(_materialize_generator(g, window))
     out: list[Arc] = sorted(arcs, key=arc_sort_key)
     out.extend(InfiniteArc(m) for m in c.infinite_arcs if lo <= m <= hi)
@@ -456,8 +449,8 @@ def noncrossing_check(
     never yield a witness here (their crossing is undefined); classify
     rejects that situation separately.
     """
-    explicit, bigs = _split_generators(c)
-    ex = sorted(explicit, key=arc_sort_key)
+    ex = sorted(c._explicit, key=arc_sort_key)
+    bigs = c._families
     for i, t1 in enumerate(ex):
         for t2 in ex[i + 1 :]:
             if arcs_cross(t1, t2) is _CROSS:
@@ -495,16 +488,12 @@ def fountain_profile(c: ArcConfiguration) -> dict[int, FountainFlags]:
         old = profile.get(v, FountainFlags(False, False))
         profile[v] = FountainFlags(old.left or left, old.right or right)
 
-    _, bigs = _split_generators(c)
-    for g in bigs:
+    for g in c._families:
         if isinstance(g, Fan):
             add(g.vertex, True, True)
         elif isinstance(g, SplitFan):
-            if g.p == g.q:
-                add(g.p, True, True)
-            else:
-                add(g.p, True, False)
-                add(g.q, False, True)
+            add(g.p, True, False)
+            add(g.q, False, True)
     return profile
 
 
@@ -512,8 +501,7 @@ def is_locally_finite(c: ArcConfiguration) -> bool:
     """True when every integer meets only finitely many arcs of the
     finite part.  Fan and SplitFan concentrate infinitely many ends on a
     vertex; Zigzag and Explicit never do."""
-    _, bigs = _split_generators(c)
-    return not any(isinstance(g, (Fan, SplitFan)) for g in bigs)
+    return not any(isinstance(g, (Fan, SplitFan)) for g in c._families)
 
 
 # --- maximality -----------------------------------------------------------
@@ -562,7 +550,7 @@ def maximality_check(
     that skips noncrossing_check and leaves a second family or a
     non-member explicit arc next to a family gets WindowVerified.
     """
-    explicit, bigs = _split_generators(c)
+    explicit, bigs = c._explicit, c._families
     if not bigs:
         ex = sorted(explicit, key=arc_sort_key)
         for cand in _candidates(window):
@@ -701,7 +689,7 @@ def classify(
     profile = fountain_profile(c)
     profile_items = tuple(sorted(profile.items()))
     if not infs:
-        if is_locally_finite(c):
+        if not profile:  # no Fan or SplitFan: locally finite
             return Classification(
                 Verdict.WCT_LOCALLY_FINITE,
                 Reason(
@@ -789,7 +777,7 @@ def _locally_finite_zigzag(c: ArcConfiguration) -> Zigzag:
             "operation needs a locally finite maximal non-crossing "
             f"configuration, classification gave {cls.verdict.value}"
         )
-    return _split_generators(c)[1][0]
+    return c._families[0]
 
 
 def _overarc(zig: Zigzag, p: int, q: int) -> FiniteArc:

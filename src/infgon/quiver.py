@@ -106,7 +106,10 @@ class _Value:
     tuple, so set and dict orders stay those of that tuple, and copies
     and pickles call the constructor on it.  The classes compared or
     hashed in hot loops override __eq__ and __hash__ with straight-line
-    versions of the same.
+    versions of the same.  A subclass may also list private slots in
+    __slots__ but not in __match_args__: values its __init__ derives
+    from the fields.  They are not fields, so none of the above reads
+    them, and the constructor derives them again on copy and unpickle.
     """
 
     __slots__ = ()

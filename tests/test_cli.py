@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import acceptance, diagram
+from infgon import acceptance, approximations, configurations, diagram
 from infgon.cli import (
+    MAX_ANTICHAIN_COUNT,
     MAX_RENDER_WIDTH,
     MAX_TRUNCATION,
     MIN_TRUNCATION,
@@ -221,6 +222,62 @@ class TestWitness:
         assert lines[2] == "fountain_vertex 0"
         assert lines[3] == "limit_slot -2"
         assert lines[4:] == [f"handled {a},0" for a in range(-12, -2)]
+
+    @pytest.mark.parametrize("count", [MAX_ANTICHAIN_COUNT + 1, 100_000_000_000])
+    def test_count_above_ceiling_is_usage_error(self, capsys, monkeypatch, zig_config, count):
+        # the stub records a call; the chain would grow with the count
+        calls = []
+        monkeypatch.setattr(configurations, "overarc_antichain", lambda *a: calls.append(a))
+        start = time.perf_counter()
+        rc, out, err = run_cli(
+            capsys, "witness", "antichain", "--config", zig_config,
+            "--seed", "-1,1", "--count", str(count),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, calls) == (2, "", [])
+        assert err == f"error: --count {count} is above the ceiling {MAX_ANTICHAIN_COUNT}\n"
+
+    def test_count_at_ceiling_is_built(self, capsys, zig_config):
+        rc, out, _ = run_cli(
+            capsys, "witness", "antichain", "--config", zig_config,
+            "--seed", "-1,1", "--count", str(MAX_ANTICHAIN_COUNT),
+        )
+        assert rc == 0
+        n = MAX_ANTICHAIN_COUNT + 1
+        assert out.count("member ") == MAX_ANTICHAIN_COUNT
+        assert out.endswith(f"member {-n},{n}\n")
+
+    @pytest.mark.parametrize("window", ["-20000:20000", f"0:{MAX_RENDER_WIDTH + 1}"])
+    def test_window_above_ceiling_is_usage_error(self, capsys, monkeypatch, fan_config, window):
+        # the stub records a call; the report would grow with the window
+        calls = []
+        monkeypatch.setattr(
+            approximations, "approximation_report", lambda *a: calls.append(a)
+        )
+        start = time.perf_counter()
+        rc, out, err = run_cli(
+            capsys, "witness", "approximation", "--config", fan_config,
+            "--d", "p:1", "--window", window,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, calls) == (2, "", [])
+        assert err == f"error: --window {window} is wider than the ceiling {MAX_RENDER_WIDTH}\n"
+
+    def test_window_at_ceiling_is_reported(self, capsys, fan_config):
+        half = MAX_RENDER_WIDTH // 2
+        rc, out, _ = run_cli(
+            capsys, "witness", "approximation", "--config", fan_config,
+            "--d", "p:1", "--window", f"{-half}:{half}",
+        )
+        assert rc == 0
+        assert out.splitlines()[4:6] == [f"handled {-half},0", f"handled {1 - half},0"]
+
+    def test_ceilings_are_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["witness", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        assert f"antichain length, at most {MAX_ANTICHAIN_COUNT}" in help_text
+        assert f"at most {MAX_RENDER_WIDTH} wide" in help_text
 
 
 class TestRender:
@@ -708,7 +765,11 @@ def _argv(draw, configs):
         flags = {
             "--target": st.one_of(member, st.builds(str, near), _arc_text),
             "--seed": st.one_of(member, _arc_text),
-            "--count": st.one_of(st.builds(str, st.integers(-3, 12)), _junk),
+            "--count": st.one_of(
+                st.builds(str, st.integers(-3, 12)),
+                st.builds(str, st.integers(MAX_ANTICHAIN_COUNT - 2, MAX_ANTICHAIN_COUNT + 2)),
+                _junk,
+            ),
             "--d": _object_text,
             "--window": _window_text,
         }

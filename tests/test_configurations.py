@@ -64,6 +64,10 @@ def window_arcs(lo, hi):
 BIG_GENERATORS = [Fan(0), Fan(-3), Zigzag(0), Zigzag(2), SplitFan(0, 3), SplitFan(-2, -2)]
 
 
+KINDS = "Explicit, Fan, Zigzag or SplitFan generators"
+ARCS = "FiniteArc explicit arcs"
+
+
 class TestGeneratorValues:
     def test_splitfan_order_checked(self):
         with pytest.raises(ValueError):
@@ -76,6 +80,82 @@ class TestGeneratorValues:
     def test_infinite_slots_sorted_and_deduped(self):
         c = ArcConfiguration([], [7, -2, 7])
         assert c.infinite_arcs == (-2, 7)
+
+    @pytest.mark.parametrize(
+        "gens,infs,named",
+        [
+            ([FiniteArc(0, 2)], [], f"{KINDS}, generators[0] is FiniteArc"),
+            ([Fan(0), "zigzag"], [], f"{KINDS}, generators[1] is str"),
+            ([Explicit([(0, 2)])], [], f"{ARCS}, an arc of generators[0] is tuple"),
+            ([Explicit([InfiniteArc(0)])], [], f"{ARCS}, an arc of generators[0] is InfiniteArc"),
+            ([Fan(0.5)], [], "int family parameters, generators[0].vertex is float"),
+            ([Zigzag("a")], [], "int family parameters, generators[0].center is str"),
+            ([Fan(0), SplitFan(0, 2.0)], [], "int family parameters, generators[1].q is float"),
+            ([Fan(True)], [], "int family parameters, generators[0].vertex is bool"),
+            ([Fan(0)], [0.7], "int infinite arc slots, infinite_arcs[0] is float"),
+            ([Fan(0)], [0, "1"], "int infinite arc slots, infinite_arcs[1] is str"),
+        ],
+        ids=[
+            "arc-generator",
+            "str-generator",
+            "tuple-arc",
+            "infinite-arc",
+            "float-vertex",
+            "str-center",
+            "float-q",
+            "bool-vertex",
+            "float-slot",
+            "str-slot",
+        ],
+    )
+    def test_construction_rejects_what_classify_cannot_read(self, gens, infs, named):
+        # each of these used to build, and then classified as locally
+        # finite, reported a fountain at 0.5, became slot 0 or failed
+        # later inside a sort
+        with pytest.raises(TypeError) as info:
+            ArcConfiguration(gens, infs)
+        assert str(info.value) == f"ArcConfiguration takes {named}"
+
+
+class _Unreadable:
+    """A generators field that raises when read again."""
+
+    def __iter__(self):
+        raise AssertionError("generators iterated after construction")
+
+
+class TestSinglePath:
+    """Every question reads the normal form made at construction, never
+    the generators as written."""
+
+    @pytest.mark.parametrize(
+        "gens,infs",
+        [
+            (
+                [Explicit({FiniteArc(0, 2)}), Fan(0), SplitFan(0, 0), Explicit({FiniteArc(0, 3)})],
+                [0],
+            ),
+            ([Zigzag(0), Explicit({FiniteArc(-1, 1)}), Zigzag(0)], []),
+            ([Explicit({FiniteArc(0, 3)}), Explicit({FiniteArc(1, 4)})], []),
+            ([Explicit({FiniteArc(0, 3)})], []),
+            ([SplitFan(0, 3), Fan(1)], [2]),
+        ],
+    )
+    def test_questions_never_read_generators(self, gens, infs):
+        c = ArcConfiguration(gens, infs)
+        lf = classify(c).verdict is Verdict.WCT_LOCALLY_FINITE
+
+        def answers():
+            return (
+                classify(c, (-6, 6)),
+                materialize(c, (-6, 6)),
+                noncrossing_check(c),
+                lf and strong_overarc(c, FiniteArc(-1, 1)),
+            )
+
+        want = answers()
+        object.__setattr__(c, "generators", _Unreadable())
+        assert answers() == want
 
 
 class TestMaterialize:
@@ -288,13 +368,13 @@ class TestClosedFormMaximality:
         assert got.reason.facts[0] == "maximal_certified"
 
 
+def canon(g):
+    return Fan(g.p) if isinstance(g, SplitFan) and g.p == g.q else g
+
+
 def distinct_family_pairs(params, gaps):
     fams = [Fan(v) for v in params] + [Zigzag(c) for c in params]
     fams += [SplitFan(p, p + d) for p in params for d in gaps]
-
-    def canon(g):
-        return Fan(g.p) if isinstance(g, SplitFan) and g.p == g.q else g
-
     return [(g1, g2) for g1 in fams for g2 in fams if canon(g1) != canon(g2)]
 
 
@@ -407,6 +487,20 @@ class TestProperties:
         got = classify(moved, (lo + t, lo + width + t))
         assert got.verdict is want.verdict
         assert got.reason == translate_reason(want.reason, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(configs, coords, st.integers(0, 12))
+    def test_classify_reads_the_normalized_spelling(self, c, lo, width):
+        # one Explicit set, then each family once in its first spelling
+        arcs, families = set(), []
+        for g in c.generators:
+            if isinstance(g, Explicit):
+                arcs |= g.arcs
+            elif canon(g) not in map(canon, families):
+                families.append(g)
+        spelled = ArcConfiguration([Explicit(arcs), *families], c.infinite_arcs)
+        window = (lo, lo + width)
+        assert classify(spelled, window) == classify(c, window)
 
     @settings(max_examples=300)
     @given(configs)

@@ -59,6 +59,23 @@ _REASON = Reason(
     infinite_slots=(1,),
 )
 
+# A configuration that splits its Explicit sets and repeats a family,
+# SplitFan(0, 0) spelling Fan(0): its fields keep the generators as
+# written, so the contract holds for them unchanged.
+_NORMALIZED = (
+    ArcConfiguration(
+        [
+            Explicit([FiniteArc(0, 2)]),
+            Fan(0),
+            SplitFan(0, 0),
+            Explicit([FiniteArc(0, 3)]),
+        ]
+    ),
+    "ArcConfiguration(generators=(Explicit(arcs=frozenset({FiniteArc(a=0, b=2)})), "
+    "Fan(vertex=0), SplitFan(p=0, q=0), "
+    "Explicit(arcs=frozenset({FiniteArc(a=0, b=3)}))), infinite_arcs=())",
+)
+
 # One instance of every value class, with its repr as the frozen
 # dataclasses printed it.
 VALUES = [
@@ -74,6 +91,7 @@ VALUES = [
         ArcConfiguration([Fan(0)], [2, 0, 2]),
         "ArcConfiguration(generators=(Fan(vertex=0),), infinite_arcs=(0, 2))",
     ),
+    _NORMALIZED,
     (CertifiedMaximal(), "CertifiedMaximal()"),
     (WindowVerified(), "WindowVerified()"),
     (AddableArc(FiniteArc(0, 2)), "AddableArc(arc=FiniteArc(a=0, b=2))"),
@@ -133,6 +151,7 @@ VALUES = [
 ]
 
 _IDS = [type(x).__name__ for x, _ in VALUES]
+_IDS[VALUES.index(_NORMALIZED)] += "-normalized"
 
 
 def fields(x):
