@@ -386,18 +386,16 @@ def _cmd_witness(args) -> int:
 
 def _cmd_render(args) -> int:
     from .configurations import load_configuration
-    from .diagram import render_svg
+    from .diagram import render_svg, render_to_file
 
     config = load_configuration(args.config)
     lo, hi = window = _parse_window(args.window)
     if _past_ceiling(f"--window {lo}:{hi} is wider than", hi - lo, MAX_RENDER_WIDTH):
         return 2
-    svg = render_svg(config, window, highlight_crossings=args.highlight_crossings)
     if args.out is None:
-        sys.stdout.write(svg)
+        sys.stdout.write(render_svg(config, window, args.highlight_crossings))
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+        render_to_file(config, window, args.out, args.highlight_crossings)
     return 0
 
 
@@ -479,30 +477,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = frozenset(
-    {
-        "--from",
-        "--to",
-        "--a",
-        "--b",
-        "--window",
-        "--target",
-        "--seed",
-        "--d",
-        "--truncation",
-    }
-)
-
-
 def _absorb_negative_values(argv: list[str]) -> list[str]:
     # argparse reads "-2,0" as an option flag; fold such values into
-    # --flag=value form so arcs and windows may start with a minus sign
+    # --flag=value form so arcs, windows and paths may start with a
+    # minus sign
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and re.match(r"-\d", nxt):
+        if re.fullmatch(r"--[\w-]+", tok) and nxt is not None and re.match(r"-\d", nxt):
             out.append(f"{tok}={nxt}")
             i += 2
             continue

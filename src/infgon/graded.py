@@ -26,14 +26,18 @@ Every tower is built from region rows of the integer hom kernel, each
 computed once: one kernel call per (probe, stage) pair gives both the
 0/1 dimension and the plus-region test, and one call per slice step
 gives the irreducible stage_k -> stage_{k+1}, whatever the probe.  A
-transition flag reads the composite criterion off these rows.  The
-nested tower keeps its inner rows, and its outer ladder reads them.
+transition flag reads the composite criterion off these rows, so it
+only sits between two nonzero stages.  A direct tower is one probe row
+and one step row, 2N + 1 kernel calls at truncation N.  So is an
+inverse tower: by Serre duality its probe is the twice downshifted
+target, and that one dual row gives both its dims and its flags.  The
+nested tower reads each inner row only over its settling tail.
 """
 from __future__ import annotations
 
 from enum import Enum
 from math import ceil
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .quiver import (
     FiniteInd,
@@ -212,28 +216,34 @@ def _slice_arcs(slice_start: int, truncation: int) -> list[tuple[int, int]]:
     return [_arc(slice_start - k, k) for k in range(truncation + 1)]
 
 
-def _probe_row(y: tuple[int, int], stages: list[tuple[int, int]]) -> list[Optional[str]]:
-    # The region of Hom(y, stage_k) for every stage: one kernel call each.
-    i, j = y
-    return [_region(i, j, m, n) for m, n in stages]
-
-
 def _step_row(stages: list[tuple[int, int]]) -> list[bool]:
     # Whether each irreducible stage_k -> stage_{k+1} lies in the plus
     # region: one kernel call per slice step, whatever the probe.
     return [_region(i, j, m, n) == "plus" for (i, j), (m, n) in zip(stages, stages[1:])]
 
 
-def _dims(row: list[Optional[str]]) -> tuple[int, ...]:
-    return tuple([0 if r is None else 1 for r in row])
-
-
-def _flags(plus: list[bool], step: list[bool]) -> tuple[bool, ...]:
+def _row(
+    y: tuple[int, int], stages: list[tuple[int, int]], step: list[bool]
+) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    # Dims and flags of Hom(y, stage_k) from one kernel call per stage.
     # Flag k is the TRUE criterion of composite_nonzero for
-    # probe -> stage_k -> stage_{k+1}: both stages in the plus region of
-    # the probe, and the step in the plus region of stage_k.  Its two
-    # raises cannot fire, as a plus region is a nonzero hom.
-    return tuple([a and s and b for a, s, b in zip(plus, step, plus[1:])])
+    # y -> stage_k -> stage_{k+1}: both stages in the plus region of y,
+    # and the step in the plus region of stage_k.  A plus region is a
+    # nonzero hom, so a flag only sits between two nonzero stages.
+    i, j = y
+    row = [_region(i, j, m, n) for m, n in stages]
+    plus = [r == "plus" for r in row]
+    dims = tuple([0 if r is None else 1 for r in row])
+    return dims, tuple([a and s and b for a, s, b in zip(plus, step, plus[1:])])
+
+
+def _slice_tower(
+    y: tuple[int, int], slice_start: int, truncation: int, direction: TowerDirection
+) -> HomTower:
+    # Hom(y, -) along the slice, as a tower of the given direction:
+    # 2N + 1 kernel calls at truncation N.
+    stages = _slice_arcs(slice_start, truncation)
+    return _tower(*_row(y, stages, _step_row(stages)), direction)
 
 
 def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower:
@@ -250,10 +260,7 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     y_arc = _finite_arc("build_hom_tower", "y", y)
-    stages = _slice_arcs(slice_start, truncation)
-    row = _probe_row(y_arc, stages)
-    flags = _flags([r == "plus" for r in row], _step_row(stages))
-    return _tower(_dims(row), flags, TowerDirection.DIRECT)
+    return _slice_tower(y_arc, slice_start, truncation, TowerDirection.DIRECT)
 
 
 def build_inverse_hom_tower(
@@ -262,14 +269,14 @@ def build_inverse_hom_tower(
     """Inverse tower Hom(-, target) along the slice based at slice_start.
 
     The transition into stage j precomposes with the irreducible map
-    stage_j -> stage_{j+1}.  Whether that precomposition is nonzero is
-    decided through the dual direct tower: by Serre duality the inverse
-    tower is the vector-space dual of the direct tower of the twice
-    downshifted target, and a linear map is nonzero exactly when its
-    transpose is.  Hence the flag at j tests the composite criterion for
-    shift_object(target, -2) -> stage_j -> stage_{j+1}.  Raises
-    TypeError when target is not a FiniteInd or slice_start or
-    truncation is not an int.
+    stage_j -> stage_{j+1}.  By Serre duality (the Serre functor is the
+    double shift) Hom(stage_j, target) is the vector-space dual of
+    Hom(shift_object(target, -2), stage_j), naturally in stage_j, and a
+    linear map is nonzero exactly when its transpose is.  So the inverse
+    tower is the direct tower of the twice downshifted target read in
+    the inverse direction: its dims and its flags both come from that
+    one dual row.  Raises TypeError when target is not a FiniteInd or
+    slice_start or truncation is not an int.
     """
     _check_ints(
         "build_inverse_hom_tower", slice_start=slice_start, truncation=truncation
@@ -277,14 +284,8 @@ def build_inverse_hom_tower(
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     i, j = _finite_arc("build_inverse_hom_tower", "target", target)
-    stages = _slice_arcs(slice_start, truncation)
-    dims = _dims([_region(m, n, i, j) for m, n in stages])
-    # Shifting an object by -2 moves both ends of its arc up by 2.  By
-    # Serre duality (the serre-duality suite) the dual row vanishes
-    # exactly where dims does, so every flag has ones on both sides.
-    dual = _probe_row((i + 2, j + 2), stages)
-    flags = _flags([r == "plus" for r in dual], _step_row(stages))
-    return _tower(dims, flags, TowerDirection.INVERSE)
+    # Shifting an object by -2 moves both ends of its arc up by 2.
+    return _slice_tower((i + 2, j + 2), slice_start, truncation, TowerDirection.INVERSE)
 
 
 def _quarter(truncation: int) -> int:
@@ -323,8 +324,17 @@ def _tail_value(dims: Sequence[int], flags: Sequence[bool]) -> int:
     return 0
 
 
-def _not_tower(func: str, tower: object) -> TypeError:
-    return TypeError(f"{func} takes a HomTower, tower is {type(tower).__name__}")
+def _read_tail(
+    func: str, tower: object, direction: TowerDirection, kind: str
+) -> tuple[int, int]:
+    # The value and stable_from of a tower of the given direction.
+    if not isinstance(tower, HomTower):
+        raise TypeError(f"{func} takes a HomTower, tower is {type(tower).__name__}")
+    if tower.direction is not direction:
+        raise ValueError(f"{func} needs {kind} tower")
+    dims, flags = tower.dims, tower.transition_nonzero
+    stable_from = _stable_split(dims, flags)
+    return _tail_value(dims, flags), stable_from
 
 
 def truncated_colim(tower: HomTower) -> TowerColimit:
@@ -335,13 +345,7 @@ def truncated_colim(tower: HomTower) -> TowerColimit:
     TowerUnstableError when the tail has not settled, and TypeError when
     tower is not a HomTower.
     """
-    if not isinstance(tower, HomTower):
-        raise _not_tower("truncated_colim", tower)
-    if tower.direction is not TowerDirection.DIRECT:
-        raise ValueError("truncated_colim needs a direct tower")
-    dims, flags = tower.dims, tower.transition_nonzero
-    stable_from = _stable_split(dims, flags)
-    return TowerColimit(_tail_value(dims, flags), stable_from)
+    return TowerColimit(*_read_tail("truncated_colim", tower, TowerDirection.DIRECT, "a direct"))
 
 
 def truncated_lim(tower: HomTower) -> TowerLimit:
@@ -353,13 +357,7 @@ def truncated_lim(tower: HomTower) -> TowerLimit:
     isomorphisms (nonzero maps between one-dimensional spaces).  Raises
     TypeError when tower is not a HomTower.
     """
-    if not isinstance(tower, HomTower):
-        raise _not_tower("truncated_lim", tower)
-    if tower.direction is not TowerDirection.INVERSE:
-        raise ValueError("truncated_lim needs an inverse tower")
-    dims, flags = tower.dims, tower.transition_nonzero
-    stable_from = _stable_split(dims, flags)
-    return TowerLimit(_tail_value(dims, flags), stable_from, lim1_vanishes=True)
+    return TowerLimit(*_read_tail("truncated_lim", tower, TowerDirection.INVERSE, "an inverse"))
 
 
 def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
@@ -408,12 +406,10 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     tail_step = _step_row(tail)
     dims = []
     for y in stages:
-        row = _probe_row(y, tail)
-        inner_dims, inner_flags = _dims(row), _flags([r == "plus" for r in row], tail_step)
+        inner_dims, inner_flags = _row(y, tail, tail_step)
         if len(set(inner_dims[1:])) > 1 or len(set(inner_flags)) > 1:
             # Not settled: the full inner tower raises with its own split.
-            row = _probe_row(y, targets)
-            _stable_split(_dims(row), _flags([r == "plus" for r in row], _step_row(targets)))
+            _stable_split(*_row(y, targets, _step_row(targets)))
         dims.append(_tail_value(inner_dims, inner_flags))
     # The ladder of composites stage_j -> stage_{j+1} -> inner stage over
     # the settled part of both inner towers cannot turn a flag off, so it

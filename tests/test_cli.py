@@ -151,6 +151,13 @@ class TestClassify:
         assert rc == 0
         assert out == run_cli(capsys, "classify", "--config", fan_config)[1]
 
+    def test_config_path_may_start_with_a_minus_sign(self, capsys, monkeypatch, fan_config, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-1.json").write_text(json.dumps(FAN_DOC))
+        rc, out, err = run_cli(capsys, "classify", "--config", "-1.json")
+        assert (rc, err) == (0, "")
+        assert out == run_cli(capsys, "classify", "--config", fan_config)[1]
+
     def test_json(self, capsys, zig_config):
         rc, out, _ = run_cli(capsys, "classify", "--config", zig_config, "--json")
         assert rc == 0
@@ -210,6 +217,12 @@ class TestWitness:
         )
         assert rc == 0
         assert out == "member -2,2\nmember -3,3\nmember -4,4\n"
+
+    def test_negative_count_reaches_the_library(self, capsys, zig_config):
+        rc, out, err = run_cli(
+            capsys, "witness", "antichain", "--config", zig_config, "--seed", "-1,1", "--count", "-1"
+        )
+        assert (rc, out, err) == (1, "", "error: count must be >= 0\n")
 
     def test_approximation(self, capsys, fan_config):
         rc, out, _ = run_cli(
@@ -327,6 +340,19 @@ class TestRender:
         text = target.read_text()
         assert text.count("<path ") == 5
 
+    def test_out_path_may_start_with_a_minus_sign(self, capsys, monkeypatch, zig_config, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(
+            capsys, "render", "--config", zig_config, "--window", "-3:3", "--out", "-1.svg"
+        )
+        assert (rc, out, err) == (0, "", "")
+        assert (tmp_path / "-1.svg").read_text().count("<path ") == 5
+
+    def test_out_directory_is_one_error_line(self, capsys, zig_config, tmp_path):
+        rc, out, err = run_cli(capsys, "render", "--config", zig_config, "--out", str(tmp_path))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_byte_identical_across_runs(self, capsys, fan_config):
         outs = []
         for _ in range(2):
@@ -427,6 +453,13 @@ class TestErrorPaths:
         assert rc == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_negative_value_after_a_switch_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hom", "--json", "-2,0", "--from", "f:0:0", "--to", "p:0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --json: ignored explicit argument '-2,0'\n")
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

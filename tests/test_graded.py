@@ -35,6 +35,7 @@ from infgon import (
     wedge_contains,
 )
 from infgon import graded
+from infgon.quiver import _arc, _region
 
 
 class TestFImage:
@@ -284,49 +285,49 @@ class TestPruferPruferTower:
         )
 
     @pytest.mark.parametrize("gap,raises", [(6, False), (-60, True)])
-    def test_kernel_reads_bounded_by_tail(self, monkeypatch, gap, raises):
+    def test_kernel_reads_bounded_by_tail(self, region_calls, gap, raises):
         # N = 60: the full rows cost (N + 1)(2N + 1) + 3N = 7561 reads
         truncation, quarter = 60, 30
         tail_reads = (truncation + 1) * (quarter + 1) + quarter + truncation
-        calls, region = [], graded._region
-
-        def counting_region(*args):
-            calls.append(args)
-            return region(*args)
-
-        monkeypatch.setattr(graded, "_region", counting_region)
         got = _value_or_error(prufer_prufer_tower, gap, 0, truncation)
-        monkeypatch.undo()
+        reads = len(region_calls)
         assert got == _value_or_error(nested_by_full_rows, gap, 0, truncation)
         assert isinstance(got, tuple) == raises
         # a tail that has not settled rebuilds one full inner row to raise
         full_row = (2 * truncation + 1) + 2 * truncation
-        assert len(calls) <= tail_reads + (full_row if raises else 0)
+        assert reads <= tail_reads + (full_row if raises else 0)
+
+
+@pytest.fixture
+def region_calls(monkeypatch):
+    """The arguments of every kernel call graded makes, in order."""
+    calls, region = [], graded._region
+
+    def counting_region(*args):
+        calls.append(args)
+        return region(*args)
+
+    monkeypatch.setattr(graded, "_region", counting_region)
+    return calls
 
 
 def nested_by_full_rows(m, n, truncation):
-    """The nested tower with every inner tower read over all 2N + 1 of
-    its stages, one kernel call per (outer stage, inner stage) pair."""
+    """The nested tower with every inner tower built in full by the
+    public build_hom_tower over all 2N + 1 of its stages and read by
+    truncated_colim, and the outer tower read by truncated_lim."""
     longest_gap = truncation - ceil(truncation / 4)
     if m - n > longest_gap:
         raise TowerUnstableError(
             f"truncation {truncation} is too short for slots {m} and {n}: "
             f"the nested tower settles only for m - n <= {longest_gap}"
         )
-    stages = graded._slice_arcs(m, truncation)
-    targets = graded._slice_arcs(n, 2 * truncation)
-    target_step = graded._step_row(targets)
-    dims = []
-    for y in stages:
-        row = graded._probe_row(y, targets)
-        inner_flags = graded._flags([r == "plus" for r in row], target_step)
-        inner_dims = graded._dims(row)
-        graded._stable_split(inner_dims, inner_flags)
-        dims.append(graded._tail_value(inner_dims, inner_flags))
-    step = graded._step_row(stages)
-    flags = [dims[j] == 1 and dims[j + 1] == 1 and step[j] for j in range(truncation)]
-    graded._stable_split(dims, flags)
-    return graded._tail_value(dims, flags)
+    stages = [FiniteInd(m - k, k) for k in range(truncation + 1)]
+    dims = tuple(truncated_colim(build_hom_tower(y, n, 2 * truncation)).value for y in stages)
+    flags = tuple(
+        dims[j] == 1 and dims[j + 1] == 1 and hom_dim(a, b).witness.region == "plus"
+        for j, (a, b) in enumerate(zip(stages, stages[1:]))
+    )
+    return truncated_lim(HomTower(dims, flags, TowerDirection.INVERSE)).value
 
 
 def _value_or_error(fn, *args):
@@ -363,6 +364,35 @@ def nested_by_public_towers(m, n, truncation):
             )
         flags.append(ok)
     return truncated_lim(HomTower(dims, tuple(flags), TowerDirection.INVERSE)).value
+
+
+class TestOneRowPerTower:
+    """A direct or inverse tower reads one probe row and one step row,
+    and the inverse tower's probe row is its Serre-dual row."""
+
+    @pytest.mark.parametrize("build", [build_hom_tower, build_inverse_hom_tower])
+    @pytest.mark.parametrize("y", [FiniteInd(0, 0), FiniteInd(-3, 4), FiniteInd(-70, 2)])
+    def test_kernel_reads(self, region_calls, build, y):
+        # N = 60: the inverse tower used to read a second row, 3N + 2 = 182
+        build(y, 1, 60)
+        assert len(region_calls) == 2 * 60 + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-10**6, 10**6),
+        st.integers(-50, 50),
+        st.integers(0, 50),
+        st.integers(-50, 50),
+        st.integers(0, 40),
+    )
+    def test_inverse_dims_are_hom_into_target(self, t, shift, index, slot, truncation):
+        # the brute force: Hom(stage_k, target) read straight off the
+        # kernel, the row the inverse tower no longer reads
+        target = FiniteInd(t + shift, index)
+        i, j = _arc(target.shift, target.index)
+        stages = [_arc(t + slot - k, k) for k in range(truncation + 1)]
+        want = tuple(int(_region(m, n, i, j) is not None) for m, n in stages)
+        assert build_inverse_hom_tower(target, t + slot, truncation).dims == want
 
 
 class TestKernelTowersPassTheConstructor:
