@@ -20,7 +20,6 @@ from typing import Optional
 from .arcs import (
     Arc,
     FiniteArc,
-    InfiniteArc,
     arc_to_object,
     arcs_cross,
     format_arc,
@@ -113,20 +112,12 @@ def _witness_text(w: HomWitness) -> str:
         sa, sb = w.params
         parts.append(f"from_slot={sa}")
         parts.append(f"to_slot={sb}")
-    elif w.rule == "arcs-cross":
-        x, y = w.params
-        parts.append(f"arcs={format_arc(x)}|{format_arc(y)}")
     return "witness " + " ".join(parts)
 
 
 def _witness_doc(w: HomWitness) -> dict:
-    params: list = []
-    for p in w.params:
-        if isinstance(p, (FiniteArc, InfiniteArc)):
-            params.append(format_arc(p))
-        else:
-            params.append(p)
-    return {"rule": w.rule, "region": w.region, "params": params}
+    # hom_dim and ext_dim witnesses carry int params only
+    return {"rule": w.rule, "region": w.region, "params": list(w.params)}
 
 
 def _reason_doc(r) -> dict:
@@ -155,12 +146,18 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _usage_error(message: str) -> int:
+    # A usage error that argparse cannot see, reported before any work.
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _past_ceiling(claim: str, size: int, ceiling: int) -> bool:
-    # The one usage error for an input that sizes the work and output,
-    # checked before any work; claim reads "--flag VALUE is above".
+    # The usage error for an input that sizes the work and output; claim
+    # reads "--flag VALUE is above".
     if size <= ceiling:
         return False
-    print(f"error: {claim} the ceiling {ceiling}", file=sys.stderr)
+    _usage_error(f"{claim} the ceiling {ceiling}")
     return True
 
 
@@ -255,9 +252,7 @@ def _cmd_classify(args) -> int:
 def _cmd_check(args) -> int:
     n = args.truncation
     if n is not None and n < MIN_TRUNCATION:
-        floor = f"below the floor {MIN_TRUNCATION}"
-        print(f"error: --truncation {n} is {floor}", file=sys.stderr)
-        return 2
+        return _usage_error(f"--truncation {n} is below the floor {MIN_TRUNCATION}")
     if n is not None and _past_ceiling(f"--truncation {n} is above", n, MAX_TRUNCATION):
         return 2
     from .acceptance import run_all
@@ -290,13 +285,18 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# The option each witness kind cannot do without.
+_WITNESS_NEEDS = {"overarc": "target", "antichain": "seed", "approximation": "d"}
+
+
 def _cmd_witness(args) -> int:
+    need = _WITNESS_NEEDS[args.which]
+    if getattr(args, need) is None:
+        return _usage_error(f"witness {args.which} needs --{need}")
     from .configurations import load_configuration, overarc_antichain, strong_overarc
 
     config = load_configuration(args.config)
     if args.which == "overarc":
-        if args.target is None:
-            raise ValueError("witness overarc needs --target")
         text = args.target.strip()
         target: object
         try:
@@ -319,8 +319,6 @@ def _cmd_witness(args) -> int:
             print(f"overarc {format_arc(over)}")
         return 0
     if args.which == "antichain":
-        if args.seed is None:
-            raise ValueError("witness antichain needs --seed")
         seed = parse_arc(args.seed)
         if not isinstance(seed, FiniteArc):
             raise ValueError("antichain seed must be a finite arc")
@@ -343,8 +341,6 @@ def _cmd_witness(args) -> int:
         return 0
     from .approximations import approximation_report
 
-    if args.d is None:
-        raise ValueError("witness approximation needs --d")
     d = _parse_object(args.d)
     lo, hi = window = _parse_window(args.window)
     if _past_ceiling(f"--window {lo}:{hi} is wider than", hi - lo, MAX_RENDER_WIDTH):

@@ -5,11 +5,17 @@ arcs: a list of generators for the finite arcs plus a list of slots for
 arcs to infinity.  Four generator kinds exist.
 
 * Explicit: a literal finite set of arcs.
-* Fan(v): every arc with v as an endpoint, on both sides.
 * Zigzag(c): the nested chain (c-n, c+n) and (c-n-1, c+n) for n >= 1.
 * SplitFan(p, q) with p <= q: the left half-fan into p, the right
   half-fan out of q, and the finite bridge (p, j) for p+2 <= j <= q.
-  SplitFan(m, m) coincides with Fan(m).
+* Fan(v): every arc with v as an endpoint, on both sides: the split fan
+  SplitFan(v, v), whose two feet meet.
+
+Fan and SplitFan keep their feet, (v, v) and (p, q), in a derived slot
+`_feet`, and every closed form reads a fan through it as a split fan but
+two: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
+Fan(0) gives (0, 2), not the split fan's least member (-2, 0)), and
+materialize, which tests check the closed forms against.
 
 A configuration is normalized once, when it is built: its Explicit sets
 merge into one, and a repeated family, SplitFan(m, m) counting as
@@ -91,10 +97,15 @@ class Explicit(_Value):
 
 
 class Fan(_Value):
-    __slots__ = __match_args__ = ("vertex",)
+    """Every arc ending at `vertex`: SplitFan(vertex, vertex), whose feet
+    meet.  The derived slot `_feet` holds (vertex, vertex)."""
+
+    __slots__ = ("vertex", "_feet")
+    __match_args__ = ("vertex",)
 
     def __init__(self, vertex: int) -> None:
         _set(self, "vertex", vertex)
+        _set(self, "_feet", (vertex, vertex))
 
 
 class Zigzag(_Value):
@@ -105,13 +116,18 @@ class Zigzag(_Value):
 
 
 class SplitFan(_Value):
-    __slots__ = __match_args__ = ("p", "q")
+    """Half-fans into p and out of q, bridged by (p, j) for p+2 <= j <= q.
+    The derived slot `_feet` holds (p, q); with p == q this is Fan(p)."""
+
+    __slots__ = ("p", "q", "_feet")
+    __match_args__ = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
         if p > q:
             raise ValueError(f"SplitFan needs p <= q, got ({p}, {q})")
         _set(self, "p", p)
         _set(self, "q", q)
+        _set(self, "_feet", (p, q))
 
 
 Generator = Union[Explicit, Fan, Zigzag, SplitFan]
@@ -146,7 +162,7 @@ class ArcConfiguration(_Value):
         generators, slots = tuple(generators), tuple(infinite_arcs)
         explicit: set[FiniteArc] = set()
         families: list[Generator] = []
-        seen: set[Generator] = set()
+        seen: set[object] = set()
         for k, g in enumerate(generators):
             where = f"generators[{k}]"
             if isinstance(g, Explicit):
@@ -160,7 +176,7 @@ class ArcConfiguration(_Value):
             for name, x in zip(g.__match_args__, g._values(g)):
                 if not _is_int(x):
                     raise _not_a("int family parameters", f"{where}.{name}", x)
-            canon = Fan(g.p) if isinstance(g, SplitFan) and g.p == g.q else g
+            canon = g if isinstance(g, Zigzag) else g._feet
             if canon not in seen:
                 seen.add(canon)
                 families.append(g)
@@ -176,6 +192,9 @@ class ArcConfiguration(_Value):
 class FountainFlags(NamedTuple):
     left: bool
     right: bool
+
+
+_NO_FOUNTAIN = FountainFlags(False, False)
 
 
 # --- configuration file format -------------------------------------------
@@ -205,6 +224,12 @@ def _at(path: str, make, *args):
         raise ValueError(f"{path}: {exc}") from None
 
 
+# The file-format name of each generator kind; a family's keys are its
+# fields, in order.
+_KINDS = {"explicit": Explicit, "fan": Fan, "zigzag": Zigzag, "splitfan": SplitFan}
+_KIND_NAMES = {cls: kind for kind, cls in _KINDS.items()}
+
+
 def _generator_from_dict(entry: object, path: str) -> Generator:
     if not isinstance(entry, dict):
         raise ValueError(f"{path}: expected an object, got {_show(entry)}")
@@ -217,7 +242,10 @@ def _generator_from_dict(entry: object, path: str) -> Generator:
     if "kind" not in entry:
         raise ValueError(f"{path}.kind: missing")
     kind = entry["kind"]
-    if kind == "explicit":
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"{path}.kind: unknown generator kind {kind!r}")
+    if cls is Explicit:
         arcs = []
         for k, pair in enumerate(_json_list(entry.get("arcs", []), f"{path}.arcs")):
             where = f"{path}.arcs[{k}]"
@@ -227,13 +255,7 @@ def _generator_from_dict(entry: object, path: str) -> Generator:
                 _at(where, FiniteArc, _json_int(pair[0], where), _json_int(pair[1], where))
             )
         return Explicit(arcs)
-    if kind == "fan":
-        return Fan(field("vertex"))
-    if kind == "zigzag":
-        return Zigzag(field("center"))
-    if kind == "splitfan":
-        return _at(path, SplitFan, field("p"), field("q"))
-    raise ValueError(f"{path}.kind: unknown generator kind {kind!r}")
+    return _at(path, cls, *[field(key) for key in cls.__match_args__])
 
 
 def configuration_from_dict(data: dict) -> ArcConfiguration:
@@ -256,15 +278,12 @@ def configuration_from_dict(data: dict) -> ArcConfiguration:
 def configuration_to_dict(c: ArcConfiguration) -> dict:
     gens = []
     for g in c.generators:
+        doc = {"kind": _KIND_NAMES[type(g)]}
         if isinstance(g, Explicit):
-            arcs = sorted(g.arcs, key=arc_sort_key)
-            gens.append({"kind": "explicit", "arcs": [[t.a, t.b] for t in arcs]})
-        elif isinstance(g, Fan):
-            gens.append({"kind": "fan", "vertex": g.vertex})
-        elif isinstance(g, Zigzag):
-            gens.append({"kind": "zigzag", "center": g.center})
+            doc["arcs"] = [[t.a, t.b] for t in sorted(g.arcs, key=arc_sort_key)]
         else:
-            gens.append({"kind": "splitfan", "p": g.p, "q": g.q})
+            doc.update(zip(g.__match_args__, g._values(g)))
+        gens.append(doc)
     return {"generators": gens, "infinite_arcs": list(c.infinite_arcs)}
 
 
@@ -277,34 +296,21 @@ def load_configuration(path: str) -> ArcConfiguration:
 
 
 def _family_member(g: Generator, arc: FiniteArc) -> bool:
-    if isinstance(g, Fan):
-        return arc.a == g.vertex or arc.b == g.vertex
     if isinstance(g, Zigzag):
         n = arc.b - g.center
         return n >= 1 and arc.a in (2 * g.center - arc.b, 2 * g.center - arc.b - 1)
-    return (
-        (arc.b == g.p and arc.a <= g.p - 2)
-        or (arc.a == g.q and arc.b >= g.q + 2)
-        or (arc.a == g.p and g.p + 2 <= arc.b <= g.q)
-    )
-
-
-def _family_params(g: Generator) -> tuple[int, ...]:
-    if isinstance(g, Fan):
-        return (g.vertex,)
-    if isinstance(g, Zigzag):
-        return (g.center,)
-    return (g.p, g.q)
+    # A FiniteArc has b - a >= 2, which the half-fans and the bridge ask.
+    p, q = g._feet
+    return arc.b == p or arc.a == q or (arc.a == p and arc.b <= q)
 
 
 def _members_of_span(g: Generator, k: int) -> list[FiniteArc]:
     """The members of family g with span k >= 2, by left endpoint."""
-    if isinstance(g, Fan):
-        return [FiniteArc(g.vertex - k, g.vertex), FiniteArc(g.vertex, g.vertex + k)]
     if isinstance(g, Zigzag):
         return [FiniteArc(g.center - (k + 1) // 2, g.center + k // 2)]
-    bridge = [FiniteArc(g.p, g.p + k)] if k <= g.q - g.p else []
-    return [FiniteArc(g.p - k, g.p), *bridge, FiniteArc(g.q, g.q + k)]
+    p, q = g._feet
+    bridge = [FiniteArc(p, p + k)] if k <= q - p else []
+    return [FiniteArc(p - k, p), *bridge, FiniteArc(q, q + k)]
 
 
 def _least_member(
@@ -320,7 +326,7 @@ def _least_member(
     breakpoint m*|x - y| + e with m in {1, 2} and e in -1..3.  Trying
     those spans in order decides in a fixed number of steps, whatever
     the coordinates."""
-    params = _family_params(g)
+    params = g._values(g)
     spans = {
         m * abs(x - y) + e
         for x in params
@@ -339,8 +345,8 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
     """A family arc crossing `arc`, or None when none exists.  Assumes
     arc is not a member.  For the infinite families a non-member always
     crosses something, because the families are maximal: Fan answers by
-    a fixed closed form, Zigzag and SplitFan with their least crossing
-    member by (span, a)."""
+    a fixed closed form, whose witnesses tests pin, Zigzag and SplitFan
+    with their least crossing member by (span, a)."""
     if isinstance(g, Fan):
         v = g.vertex
         if arc.b < v:
@@ -357,28 +363,22 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
 
 def _infinite_vs_generator(g: Generator, m: int) -> Optional[FiniteArc]:
     """A family arc crossed by the infinite arc at m, or None."""
-    if isinstance(g, Fan):
-        v = g.vertex
-        if m == v:
-            return None
-        if m < v:
-            return FiniteArc(m - 1, v)
-        return FiniteArc(v, m + 1)
     if isinstance(g, Zigzag):
         n = abs(m - g.center) + 1
         return FiniteArc(g.center - n, g.center + n)
-    if m == g.p or m == g.q:
+    p, q = g._feet
+    if m == p or m == q:
         return None
-    if m < g.p:
-        return FiniteArc(m - 1, g.p)
-    if m > g.q:
-        return FiniteArc(g.q, m + 1)
-    return FiniteArc(g.p, m + 1)
+    if m < p:
+        return FiniteArc(m - 1, p)
+    if m > q:
+        return FiniteArc(q, m + 1)
+    return FiniteArc(p, m + 1)
 
 
 def _materialize_generator(g: Generator, window: tuple[int, int]) -> list[FiniteArc]:
-    # Written apart from _members_of_span: the acceptance suites check
-    # the closed forms against materialize.
+    # Written apart from _members_of_span and _feet: tests and the
+    # acceptance suites check the closed forms against materialize.
     lo, hi = window
     out: list[FiniteArc] = []
     if isinstance(g, Fan):
@@ -428,7 +428,7 @@ def _generator_pair_witness(
     t2.span, t2.a), or None when they are the same family.  The members
     of g1 that cross g2 are, by maximality, exactly its non-members, so
     t1 is the least of those and t2 the least member of g2 crossing t1."""
-    t1 = _least_member(g1, lambda t: not _family_member(g2, t), _family_params(g2))
+    t1 = _least_member(g1, lambda t: not _family_member(g2, t), g2._values(g2))
     if t1 is None:
         return None
     t2 = _least_member(
@@ -481,27 +481,28 @@ def noncrossing_check(
 def fountain_profile(c: ArcConfiguration) -> dict[int, FountainFlags]:
     """Vertices carrying infinitely many arc ends, with which sides are
     infinite: left means infinitely many arcs arrive, right means
-    infinitely many leave.  Only Fan and SplitFan contribute."""
+    infinitely many leave: into a split fan's left foot, out of its
+    right one, and both ways at a fan, whose feet meet."""
     profile: dict[int, FountainFlags] = {}
 
     def add(v: int, left: bool, right: bool) -> None:
-        old = profile.get(v, FountainFlags(False, False))
+        old = profile.get(v, _NO_FOUNTAIN)
         profile[v] = FountainFlags(old.left or left, old.right or right)
 
     for g in c._families:
-        if isinstance(g, Fan):
-            add(g.vertex, True, True)
-        elif isinstance(g, SplitFan):
-            add(g.p, True, False)
-            add(g.q, False, True)
+        if isinstance(g, Zigzag):
+            continue
+        p, q = g._feet
+        add(p, True, False)
+        add(q, False, True)
     return profile
 
 
 def is_locally_finite(c: ArcConfiguration) -> bool:
     """True when every integer meets only finitely many arcs of the
-    finite part.  Fan and SplitFan concentrate infinitely many ends on a
-    vertex; Zigzag and Explicit never do."""
-    return not any(isinstance(g, (Fan, SplitFan)) for g in c._families)
+    finite part.  A fan or split fan concentrates infinitely many ends
+    on its feet; Zigzag and Explicit never do."""
+    return all(isinstance(g, Zigzag) for g in c._families)
 
 
 # --- maximality -----------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Criteria 1 through 9 and 11 run the library's oracle-agreement suites
 with their time budgets; criterion 10 drives the command line for
-golden-output stability and the aggregate check command.
+golden-output stability and the aggregate check command.  One more test
+checks that every suite has a budget.
 """
 
 import json
@@ -27,6 +28,10 @@ BUDGETS = {
     "shift-equivariance": 30.0,
     "family-maximality": 10.0,
 }
+
+
+def test_every_suite_has_a_budget():
+    assert [name for name in SUITES if name not in BUDGETS] == []
 
 
 def run_criterion(number, name):

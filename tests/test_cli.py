@@ -166,6 +166,40 @@ class TestClassify:
         assert doc["reason"]["kind"] == "certified"
         assert doc["window"] == [-12, 12]
 
+    @pytest.mark.parametrize(
+        "doc,reason",
+        [
+            (
+                {"generators": [{"kind": "splitfan", "p": 0, "q": 3}], "infinite_arcs": [3]},
+                {
+                    "kind": "fountain_infinite_arc_mismatch",
+                    "fountain_vertex": 3,
+                    "infinite_slots": [3],
+                    "fountain_profile": {
+                        "0": {"left": True, "right": False},
+                        "3": {"left": False, "right": True},
+                    },
+                },
+            ),
+            (
+                {"generators": [{"kind": "explicit", "arcs": [[0, 3]]}], "infinite_arcs": [1]},
+                {"kind": "crossing_pair", "crossing": ["0,3", "1,inf"]},
+            ),
+        ],
+    )
+    def test_json_reason_document(self, capsys, tmp_path, doc, reason):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc, out, _ = run_cli(capsys, "classify", "--config", str(path), "--json")
+        assert rc == 0
+        assert json.loads(out) == {
+            "schema": "infgon/1",
+            "command": "classify",
+            "window": [-12, 12],
+            "verdict": "NotWCT",
+            "reason": reason,
+        }
+
     def test_window_flag(self, capsys, zig_config):
         rc, out, _ = run_cli(
             capsys, "classify", "--config", zig_config, "--window", "-6:6"
@@ -217,6 +251,54 @@ class TestWitness:
         )
         assert rc == 0
         assert out == "member -2,2\nmember -3,3\nmember -4,4\n"
+
+    @pytest.mark.parametrize(
+        "config,argv,doc",
+        [
+            (
+                "zig",
+                ["overarc", "--target", "-1,1"],
+                {"command": "witness-overarc", "target": "-1,1", "overarc": "-2,2"},
+            ),
+            (
+                "zig",
+                ["antichain", "--seed", "-1,1", "--count", "2"],
+                {
+                    "command": "witness-antichain",
+                    "seed": "-1,1",
+                    "count": 2,
+                    "chain": ["-2,2", "-3,3"],
+                },
+            ),
+            (
+                "fan",
+                ["approximation", "--d", "p:1", "--window", "-3:3"],
+                {
+                    "command": "witness-approximation",
+                    "d": {"kind": "prufer", "slot": 1},
+                    "window": [-3, 3],
+                    "kind": "CosliceObject",
+                    "target": "f:0:1",
+                    "fountain_vertex": 0,
+                    "limit_slot": -2,
+                    "handled": ["-3,0"],
+                    "exceptions": [],
+                },
+            ),
+        ],
+    )
+    def test_json_documents(self, capsys, fan_config, zig_config, config, argv, doc):
+        path = {"fan": fan_config, "zig": zig_config}[config]
+        rc, out, _ = run_cli(capsys, "witness", *argv, "--config", path, "--json")
+        assert rc == 0
+        assert json.loads(out) == {"schema": "infgon/1", **doc}
+
+    @pytest.mark.parametrize(
+        "which,flag", [("overarc", "--target"), ("antichain", "--seed"), ("approximation", "--d")]
+    )
+    def test_missing_option_is_usage_error(self, capsys, zig_config, which, flag):
+        rc, out, err = run_cli(capsys, "witness", which, "--config", zig_config)
+        assert (rc, out, err) == (2, "", f"error: witness {which} needs {flag}\n")
 
     def test_negative_count_reaches_the_library(self, capsys, zig_config):
         rc, out, err = run_cli(

@@ -221,6 +221,10 @@ class TestNoncrossing:
                 (FiniteArc(-1, 1), FiniteArc(0, 2)),
             ),
             (cfg(SplitFan(0, 3), inf=[5]), (FiniteArc(3, 6), InfiniteArc(5))),
+            (
+                cfg(Explicit({FiniteArc(0, 3)}), inf=[1]),
+                (FiniteArc(0, 3), InfiniteArc(1)),
+            ),
         ],
     )
     def test_crossing_witnesses(self, c, witness):
@@ -399,6 +403,29 @@ class TestPairWitness:
                     want = (t1, partners[0])
                     break
             assert noncrossing_check(cfg(g1, g2)) == want, (g1, g2)
+
+
+CLOSED_FORM_FAMILIES = (
+    [Fan(v) for v in range(-3, 4)]
+    + [Zigzag(c) for c in range(-3, 4)]
+    + [SplitFan(p, p + d) for p in range(-3, 4) for d in range(5)]
+)
+
+
+class TestClosedForms:
+    """Family membership and the members of each span, in closed form,
+    against the arcs materialize lists over a window that holds every
+    member of the spans checked."""
+
+    @pytest.mark.parametrize("g", CLOSED_FORM_FAMILIES, ids=repr)
+    def test_match_materialize(self, g):
+        lo, hi = window = (-14, 14)
+        listed = set(materialize(cfg(g), window))
+        members = {t for t in window_arcs(lo, hi) if configurations._family_member(g, t)}
+        assert members == listed
+        for k in range(2, 8):
+            of_span = sorted((t for t in listed if t.span == k), key=lambda t: t.a)
+            assert configurations._members_of_span(g, k) == of_span, k
 
 
 class TestBoundedWork:

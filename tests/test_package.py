@@ -66,3 +66,9 @@ def test_submodules_import_from_the_package():
 
     assert configurations.classify is infgon.classify
     assert callable(acceptance.run_all)
+
+
+@pytest.mark.parametrize("module", sorted(infgon._EXPORTS))
+def test_export_table_matches_module_all(module):
+    home = importlib.import_module(f"infgon.{module}")
+    assert list(infgon._EXPORTS[module]) == home.__all__
