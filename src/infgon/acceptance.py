@@ -31,6 +31,8 @@ from .configurations import (
     SplitFan,
     Verdict,
     Zigzag,
+    _family_member,
+    _members_of_span,
     classify,
     materialize,
     overarc_antichain,
@@ -329,7 +331,9 @@ def suite_family_maximality() -> tuple[bool, int, str]:
     # classify certifies Fan, Zigzag and SplitFan maximal without a
     # search; this re-checks that theorem over windows.  Members come
     # from materialize and every decision is a plain arcs_cross, never
-    # the closed-form membership or crossing witnesses classify uses.
+    # the closed-form crossing witnesses classify uses.  The closed-form
+    # membership _family_member and _members_of_span must list exactly
+    # the members materialize lists, which is written apart from them.
     windows = (8, 12, 16)
     families: list = [(Fan(v), v) for v in range(-3, 4)]
     families += [(Zigzag(c), c) for c in range(-3, 4)]
@@ -337,7 +341,18 @@ def suite_family_maximality() -> tuple[bool, int, str]:
     n = 0
     for g, c in families:
         for w in windows:
-            members = materialize(ArcConfiguration([g]), (c - w, c + w))
+            lo, hi = c - w, c + w
+            members = materialize(ArcConfiguration([g]), (lo, hi))
+            have = set(members)
+            for cand in _finite_arcs(lo, hi):
+                if _family_member(g, cand) is not (cand in have):
+                    return False, n, f"{g}: _family_member wrong on {cand}"
+                n += 1
+            for k in range(2, hi - lo + 1):
+                inside = [t for t in _members_of_span(g, k) if lo <= t.a and t.b <= hi]
+                if inside != [t for t in members if t.span == k]:
+                    return False, n, f"{g}: _members_of_span({k}) wrong in window +-{w}"
+                n += 1
             for i, x in enumerate(members):
                 for y in members[i + 1 :]:
                     if arcs_cross(x, y) is _CROSS:
@@ -346,15 +361,14 @@ def suite_family_maximality() -> tuple[bool, int, str]:
             # in a window centred on the family, a non-member's crossing
             # partner reaches at most one step past its ends, so the
             # candidates keep a margin of two
-            have = set(members)
-            for cand in _finite_arcs(c - w + 2, c + w - 2):
+            for cand in _finite_arcs(lo + 2, hi - 2):
                 if cand in have:
                     continue
                 if not any(arcs_cross(cand, t) is _CROSS for t in members):
                     return False, n, f"{g}: {cand} crosses no member in window +-{w}"
                 n += 1
     widths = ", ".join(str(w) for w in windows)
-    return True, n, f"{len(families)} families, centred windows of half-width {widths}"
+    return True, n, f"{len(families)} families against materialize, half-width {widths}"
 
 
 ALL_SUITES: list[tuple[str, Callable[[], tuple[bool, int, str]]]] = [

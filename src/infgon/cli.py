@@ -95,23 +95,20 @@ def _object_doc(x: IndObject) -> dict:
     return {"kind": "prufer", "slot": x.slot}
 
 
+# The text name of each witness param, by rule.
+_PARAM_NAMES = {
+    "finite-finite": ("m", "n"),
+    "finite-prufer": ("base", "j", "index"),
+    "prufer-finite": ("base", "j", "index"),
+    "prufer-prufer": ("from_slot", "to_slot"),
+}
+
+
 def _witness_text(w: HomWitness) -> str:
     parts = [f"rule={w.rule}"]
     if w.region is not None:
         parts.append(f"region={w.region}")
-    if w.rule == "finite-finite":
-        m, n = w.params
-        parts.append(f"m={m}")
-        parts.append(f"n={n}")
-    elif w.rule in ("finite-prufer", "prufer-finite"):
-        base, j, index = w.params
-        parts.append(f"base={base}")
-        parts.append(f"j={j}")
-        parts.append(f"index={index}")
-    elif w.rule == "prufer-prufer":
-        sa, sb = w.params
-        parts.append(f"from_slot={sa}")
-        parts.append(f"to_slot={sb}")
+    parts += [f"{k}={v}" for k, v in zip(_PARAM_NAMES[w.rule], w.params)]
     return "witness " + " ".join(parts)
 
 

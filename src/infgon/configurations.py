@@ -21,7 +21,9 @@ A configuration is normalized once, when it is built: its Explicit sets
 merge into one, and a repeated family, SplitFan(m, m) counting as
 Fan(m), is dropped.  Its `generators` field keeps them as written, for
 repr, equality and the file format; every check and verdict reads the
-normal form.
+normal form.  A crossing index over the merged set, a sparse table of
+sorted endpoints, tells in O(log n) whether an arc crosses one of its
+arcs; noncrossing_check, the addable-arc scan and diagram ask it.
 
 Fan, Zigzag and SplitFan each describe a maximal non-crossing family, so
 an arc is compatible with one of them exactly when it is a member, and
@@ -31,17 +33,19 @@ satisfying an endpoint condition lies among a fixed set of spans:
 crossing witnesses against families and strong overarcs are closed
 forms, whatever the coordinates, and a configuration with a family is
 certified maximal at once.  The acceptance suites family-maximality and
-overarc-witnesses re-check maximality and overarcs over windows.  A
-window enters only the scan for an addable arc when every generator is
-Explicit.  Classification follows the combinatorial characterization:
-with no arc to infinity, a configuration is weakly cluster tilting iff
-its arcs are maximal non-crossing and locally finite; with exactly one
-arc to infinity at m, iff the finite part is maximal non-crossing with a
-two-sided fountain at m, and that case is moreover cluster tilting.
+overarc-witnesses re-check membership, maximality and overarcs over
+windows.  A window enters only the scan for an addable arc when every
+generator is Explicit.  Classification follows the combinatorial
+characterization: with no arc to infinity, a configuration is weakly
+cluster tilting iff its arcs are maximal non-crossing and locally
+finite; with exactly one arc to infinity at m, iff the finite part is
+maximal non-crossing with a two-sided fountain at m, and that case is
+moreover cluster tilting.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -141,21 +145,53 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _reach(pairs: list) -> Callable:
+    """reach(a, b): the largest right end of the pairs (i, j) with
+    a < i < b, or a when there is none, in O(log n) after an O(n log n)
+    sparse table over the pairs by left end: row k holds the largest
+    right end of each run of 2^k."""
+    pairs = sorted(pairs)
+    lefts = [i for i, _ in pairs]
+    rows = [[j for _, j in pairs]]
+    for half in (1 << k for k in range(len(pairs).bit_length() - 1)):
+        rows.append(list(map(max, rows[-1][:-half], rows[-1][half:])))
+
+    def reach(a, b):
+        lo, hi = bisect_right(lefts, a), bisect_left(lefts, b)
+        if lo >= hi:
+            return a
+        k = (hi - lo).bit_length() - 1
+        return max(rows[k][lo], rows[k][hi - (1 << k)])
+
+    return reach
+
+
+def _crossing_index(pairs: list) -> Callable:
+    """crosses(a, b): whether the arc (a, b) crosses one of the arcs
+    given as endpoint pairs, in O(log n).  (a, b) crosses (i, j) when
+    a < i < b < j, so some pair with its left end in (a, b) reaches past
+    b, or when i < a < j < b, the same test on the pairs mirrored through
+    0.  An arc to infinity at m is the pair (m, inf)."""
+    right = _reach(pairs)
+    left = _reach([(-j, -i) for i, j in pairs])
+    return lambda a, b: right(a, b) > b or left(-b, -a) > -a
+
+
 class ArcConfiguration(_Value):
     """Generators plus slots of arcs to infinity.
 
     The fields are `generators`, kept as written, and `infinite_arcs`,
     stored sorted without duplicates.  The constructor normalizes once,
-    into two derived slots that are not fields: `_explicit`, the union
-    of the Explicit arc sets, and `_families`, the other generators
-    without repeats, compared with SplitFan(m, m) read as Fan(m) and
-    kept in their first spelling, so crossing witnesses stay those of
-    the generators as written.  Every question about the configuration
-    reads those two.  Raises TypeError on a generator that is not
+    into derived slots that are not fields: `_explicit`, the union of
+    the Explicit arc sets, `_crosses`, its crossing index, and
+    `_families`, the other generators without repeats, compared with
+    SplitFan(m, m) read as Fan(m) and kept in their first spelling, so
+    crossing witnesses stay those of the generators as written.  Every
+    question reads those.  Raises TypeError on a generator that is not
     Explicit, Fan, Zigzag or SplitFan, an explicit arc that is not a
     FiniteArc, or a family parameter or slot that is not an int."""
 
-    __slots__ = ("generators", "infinite_arcs", "_explicit", "_families")
+    __slots__ = ("generators", "infinite_arcs", "_explicit", "_crosses", "_families")
     __match_args__ = ("generators", "infinite_arcs")
 
     def __init__(self, generators=(), infinite_arcs=()) -> None:
@@ -186,6 +222,7 @@ class ArcConfiguration(_Value):
         _set(self, "generators", generators)
         _set(self, "infinite_arcs", tuple(sorted(set(slots))))
         _set(self, "_explicit", frozenset(explicit))
+        _set(self, "_crosses", _crossing_index([(t.a, t.b) for t in explicit]))
         _set(self, "_families", tuple(families))
 
 
@@ -443,23 +480,22 @@ def noncrossing_check(
     """None when the configuration is pairwise non-crossing, else a
     witness pair of crossing arcs.
 
-    Scan order is deterministic: explicit pairs first, then explicit
-    against the infinite families, then family against family, then the
-    arcs to infinity against everything finite.  Two arcs to infinity
-    never yield a witness here (their crossing is undefined); classify
-    rejects that situation separately.
+    Scan order is deterministic: explicit pairs first, the least arc
+    that the crossing index flags with the least arc it crosses, then
+    explicit against the infinite families, then family against family,
+    then the arcs to infinity against everything finite.  Two arcs to
+    infinity never yield a witness here (their crossing is undefined);
+    classify rejects that situation separately.
     """
     ex = sorted(c._explicit, key=arc_sort_key)
     bigs = c._families
-    for i, t1 in enumerate(ex):
-        for t2 in ex[i + 1 :]:
-            if arcs_cross(t1, t2) is _CROSS:
-                return (t1, t2)
+    for t1 in ex:
+        if c._crosses(t1.a, t1.b):
+            # t1 crosses no earlier arc, or that arc would come first
+            return t1, next(t2 for t2 in ex if arcs_cross(t1, t2) is _CROSS)
     for t in ex:
         for g in bigs:
-            if _family_member(g, t):
-                continue
-            w = _family_crossing_witness(g, t)
+            w = None if _family_member(g, t) else _family_crossing_witness(g, t)
             if w is not None:
                 return (t, w)
     for i, g1 in enumerate(bigs):
@@ -544,20 +580,18 @@ def maximality_check(
     CertifiedMaximal in O(1); the family-maximality acceptance suite
     re-checks that theorem over windows.  A pure Explicit configuration
     is never maximal: the window is scanned lexicographically for an
-    addable arc, and if the window is exhausted the arc just beyond the
-    right end of the span is returned, which cannot cross anything
-    inside the span (with no arcs at all, the arc from the window's left
-    end).  The window matters only for that scan.  A caller
-    that skips noncrossing_check and leaves a second family or a
-    non-member explicit arc next to a family gets WindowVerified.
+    addable arc, each candidate asking the crossing index in O(log n),
+    and if the window is exhausted the arc just beyond the right end of
+    the span is returned, which cannot cross anything inside the span
+    (with no arcs at all, the arc from the window's left end).  The
+    window matters only for that scan.  A caller that skips
+    noncrossing_check and leaves a second family or a non-member
+    explicit arc next to a family gets WindowVerified.
     """
     explicit, bigs = c._explicit, c._families
     if not bigs:
-        ex = sorted(explicit, key=arc_sort_key)
         for cand in _candidates(window):
-            if cand in explicit:
-                continue
-            if all(arcs_cross(cand, t) is not _CROSS for t in ex):
+            if cand not in explicit and not c._crosses(cand.a, cand.b):
                 return AddableArc(cand)
         h = max((t.b for t in explicit), default=window[0])
         return AddableArc(FiniteArc(h, h + 2))

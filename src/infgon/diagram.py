@@ -5,14 +5,13 @@ become vertical rays.  Output is plain SVG 1.1 assembled by string
 concatenation with integer coordinates only, so a fixed input yields a
 byte-identical document on every run.  Finite arcs are <path> elements
 and rays are <line class="ray"> elements; the axis and ticks are plain
-lines, which keeps the element classes countable in tests.
+lines, which keeps the element classes countable in tests.  Crossing
+highlights ask the crossing index of `configurations` over the arcs drawn.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from .arcs import FiniteArc, InfiniteArc
-from .configurations import ArcConfiguration, materialize
+from .configurations import ArcConfiguration, _crossing_index, materialize
 
 __all__ = ["render_svg", "render_to_file"]
 
@@ -81,56 +80,12 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def _range_query(pick, values: list[int]):
-    """query(lo, hi) = pick over values[lo:hi] for lo < hi, in O(1) after
-    an O(n log n) sparse table: row k holds pick over each run of 2^k."""
-    rows = [values]
-    width = 1
-    while 2 * width <= len(values):
-        prev = rows[-1]
-        rows.append([pick(prev[i], prev[i + width]) for i in range(len(prev) - width)])
-        width *= 2
-
-    def query(lo: int, hi: int) -> int:
-        k = (hi - lo).bit_length() - 1
-        return pick(rows[k][lo], rows[k][hi - (1 << k)])
-
-    return query
-
-
 def _crossing_arcs(finite: list[FiniteArc], infinite: list[InfiniteArc]) -> set:
-    """The arcs that cross at least one other arc, in O(n log n).
-
-    A finite arc (a, b) crosses a finite arc exactly when some arc with
-    its left end in (a, b) ends right of b, or some arc with its right
-    end in (a, b) starts left of a; it crosses a ray at m when a < m < b.
-    So a ray at m is crossed when some arc with its left end below m ends
-    right of m.
-    """
-    by_left = sorted(finite, key=lambda t: t.a)
-    lefts = [t.a for t in by_left]
-    max_right = _range_query(max, [t.b for t in by_left])
-    by_right = sorted(finite, key=lambda t: t.b)
-    rights = [t.b for t in by_right]
-    min_left = _range_query(min, [t.a for t in by_right])
-    rays = sorted(t.m for t in infinite)
-
-    def crosses(a: int, b: int) -> bool:
-        lo, hi = bisect_right(lefts, a), bisect_left(lefts, b)
-        if lo < hi and max_right(lo, hi) > b:
-            return True
-        lo, hi = bisect_right(rights, a), bisect_left(rights, b)
-        if lo < hi and min_left(lo, hi) < a:
-            return True
-        return bisect_right(rays, a) < bisect_left(rays, b)
-
-    def crossed(m: int) -> bool:
-        k = bisect_left(lefts, m)
-        return k > 0 and max_right(0, k) > m
-
-    return {t for t in finite if crosses(t.a, t.b)} | {
-        t for t in infinite if crossed(t.m)
-    }
+    """The arcs that cross at least one other arc, from one crossing index
+    over all of them, in O(n log n); a ray at m is the arc (m, inf)."""
+    ends = [(t.a, t.b) for t in finite] + [(t.m, float("inf")) for t in infinite]
+    crosses = _crossing_index(ends)
+    return {t for t, (a, b) in zip(finite + infinite, ends) if crosses(a, b)}
 
 
 def render_to_file(

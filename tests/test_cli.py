@@ -112,6 +112,22 @@ class TestHomExtCross:
         assert rc == 0
         assert out == "dim 1\nwitness rule=finite-finite region=minus m=-4 n=-2\n"
 
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (("hom", "p:3", "f:-5:1"), "witness rule=prufer-finite base=5 j=10 index=1"),
+            (("hom", "p:3", "p:1"), "witness rule=prufer-prufer from_slot=3 to_slot=1"),
+            (("ext", "p:0", "f:0:0"), "witness rule=prufer-finite base=2 j=1 index=0"),
+            (("hom", "f:0:0", "f:-1:2"), "witness rule=finite-finite m=-3 n=1"),
+        ],
+    )
+    def test_witness_line_names_every_param(self, capsys, argv, out):
+        # one line per rule, with no region when the rule has none
+        cmd, src, dst = argv
+        rc, text, _ = run_cli(capsys, cmd, "--from", src, "--to", dst)
+        assert rc == 0
+        assert text.splitlines()[1] == out
+
     def test_cross(self, capsys):
         rc, out, _ = run_cli(capsys, "cross", "--a", "-2,0", "--b", "-3,-1")
         assert (rc, out) == (0, "Cross\n")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infgon import configurations
+from infgon.arcs import _CROSS, arc_sort_key
 from infgon import (
     AddableArc,
     ArcConfiguration,
@@ -428,9 +429,116 @@ class TestClosedForms:
             assert configurations._members_of_span(g, k) == of_span, k
 
 
+# The pairwise loops the crossing index replaced, kept verbatim as the
+# reference for Explicit-only configurations: every explicit pair in
+# sorted order, then each arc to infinity against the explicit arcs, and
+# every window candidate against every explicit arc.
+def pairwise_noncrossing(c):
+    ex = sorted(c._explicit, key=arc_sort_key)
+    for i, t1 in enumerate(ex):
+        for t2 in ex[i + 1 :]:
+            if arcs_cross(t1, t2) is _CROSS:
+                return (t1, t2)
+    for m in c.infinite_arcs:
+        for t in ex:
+            if t.a < m < t.b:
+                return (t, InfiniteArc(m))
+    return None
+
+
+def scanned_maximality(c, window):
+    explicit = c._explicit
+    ex = sorted(explicit, key=arc_sort_key)
+    for cand in window_arcs(*window):
+        if cand in explicit:
+            continue
+        if all(arcs_cross(cand, t) is not _CROSS for t in ex):
+            return AddableArc(cand)
+    h = max((t.b for t in explicit), default=window[0])
+    return AddableArc(FiniteArc(h, h + 2))
+
+
+# Small coordinates, so that shared endpoints, equal left ends and
+# nesting are common; a part of a family's arcs never crosses itself.
+index_arcs = st.builds(
+    lambda a, d: FiniteArc(a, a + d), st.integers(-6, 6), st.integers(2, 8)
+)
+family_parts = st.sampled_from(
+    [
+        materialize(cfg(g), (-7, 7))
+        for g in (Fan(0), Zigzag(0), Zigzag(1), SplitFan(-1, 2))
+    ]
+).flatmap(lambda arcs: st.frozensets(st.sampled_from(arcs), max_size=12))
+explicit_sets = st.one_of(st.frozensets(index_arcs, max_size=12), family_parts)
+
+
+class TestCrossingIndex:
+    """The crossing index of the explicit arcs against the pairwise
+    loops it replaced, on Explicit-only configurations."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        explicit_sets,
+        st.lists(st.integers(-8, 8), max_size=1),
+        st.integers(-10, 10),
+        st.integers(-1, 16),
+    )
+    def test_checks_match_the_pairwise_loops(self, arcs, inf, lo, width):
+        # widths from an empty candidate set to past the arcs' span
+        c = cfg(Explicit(arcs), inf=inf)
+        window = (lo, lo + width)
+        assert noncrossing_check(c) == pairwise_noncrossing(c)
+        assert maximality_check(c, window) == scanned_maximality(c, window)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        explicit_sets, st.integers(-10, 10), st.integers(2, 12), st.integers(-10, 10)
+    )
+    def test_query_matches_any_crossing(self, arcs, a, d, m):
+        c = cfg(Explicit(arcs))
+        for t in [FiniteArc(a, a + d), *arcs]:
+            want = any(arcs_cross(t, u) is CrossResult.CROSS for u in arcs)
+            assert c._crosses(t.a, t.b) is want, t
+        # an arc to infinity at m is the pair (m, inf)
+        want = any(arcs_cross(InfiniteArc(m), u) is CrossResult.CROSS for u in arcs)
+        assert c._crosses(m, float("inf")) is want
+
+    @pytest.mark.parametrize(
+        "ends,witness",
+        [
+            ([], None),
+            ([(0, 2)], None),
+            # equal left ends, a shared right end, nesting
+            ([(0, 3), (0, 5), (1, 3)], None),
+            # (1, 3) is flagged too, but (0, 4) comes first
+            ([(0, 4), (2, 6), (1, 3)], ((0, 4), (2, 6))),
+            # (-5, 5) crosses (3, 8), after the nested (0, 4)
+            ([(-5, 5), (3, 8), (0, 4)], ((-5, 5), (3, 8))),
+        ],
+    )
+    def test_pinned_witnesses(self, ends, witness):
+        c = cfg(Explicit(FiniteArc(a, b) for a, b in ends))
+        want = witness and tuple(FiniteArc(a, b) for a, b in witness)
+        assert noncrossing_check(c) == want == pairwise_noncrossing(c)
+
+
 class TestBoundedWork:
     """No witness depends on a window: the work is bounded by the size of
     the input, not by its coordinates."""
+
+    def test_many_explicit_arcs_are_not_compared_pairwise(self):
+        arcs = materialize(cfg(Zigzag(0)), (-10001, 10001))
+        assert len(arcs) == 20001
+        start = time.perf_counter()
+        assert noncrossing_check(cfg(Explicit(arcs))) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_witness_among_many_explicit_arcs(self):
+        arcs = materialize(cfg(Zigzag(0)), (-10001, 10001)) + [FiniteArc(10000, 10003)]
+        assert noncrossing_check(cfg(Explicit(arcs))) == (
+            FiniteArc(-10001, 10001),
+            FiniteArc(10000, 10003),
+        )
 
     def test_far_explicit_arc_against_a_zigzag(self):
         far = FiniteArc(10**6, 10**6 + 2)

@@ -40,6 +40,8 @@ from infgon.configurations import (
     Verdict,
     WindowVerified,
     Zigzag,
+    maximality_check,
+    noncrossing_check,
 )
 from infgon.graded import (
     FiniteCyclic,
@@ -263,6 +265,43 @@ class TestDistinctTypes:
         assert Explicit([FiniteArc(0, 2)] * 2).arcs == frozenset({FiniteArc(0, 2)})
         assert ArcConfiguration([Fan(0)], [3, 1, 3]).infinite_arcs == (1, 3)
         assert DirectSystemDescriptor(None, [], ZeroLimit()).moves == ()
+
+
+class TestDerivedCrossingIndex:
+    """ArcConfiguration derives a crossing index over its explicit arcs
+    at construction.  It is no field: copies and pickles build it again
+    from the fields, and repr, equality and hash never read it."""
+
+    @staticmethod
+    def build(*ends, inf=()):
+        return ArcConfiguration([Explicit(FiniteArc(a, b) for a, b in ends)], inf)
+
+    @staticmethod
+    def answers(c):
+        return noncrossing_check(c), maximality_check(c, (-3, 9))
+
+    @pytest.mark.parametrize(
+        "ends,inf",
+        [
+            (((0, 3), (1, 4), (5, 7)), ()),
+            (((0, 3), (0, 5), (5, 7)), (2,)),
+            (((0, 2),), ()),
+        ],
+    )
+    def test_copies_and_pickles_answer_alike(self, ends, inf):
+        x = self.build(*ends, inf=inf)
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copies.append(pickle.loads(pickle.dumps(x, protocol)))
+        for y in copies:
+            assert y == x and self.answers(y) == self.answers(x)
+
+    def test_index_is_no_field(self):
+        x, y = self.build((0, 3), (1, 4)), self.build((0, 3), (1, 4))
+        assert x._crosses is not y._crosses
+        assert "_crosses" not in type(x).__match_args__
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+        assert "_crosses" not in repr(x) and "lambda" not in repr(x)
 
 
 @pytest.mark.parametrize(
