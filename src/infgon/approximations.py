@@ -7,7 +7,9 @@ the limit object sitting in the configuration.  The split is decided by
 where the arc of the object lies relative to the wedge over the
 fountain.  `approximation_report` returns the shape plus a window
 inventory: which configuration members with a nonzero map to the object
-are covered by the chosen target, at the level of hom dimensions.
+are covered by the chosen target.  The endpoint rules of the hom kernel
+decide both maps on the arcs of the member, the object and the target,
+without building an object per member.
 
 `classify_direct_system` computes the homotopy colimit of a one-way
 infinite path in the repetition quiver described by a finite prefix of
@@ -20,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
+from .arcs import Arc, FiniteArc, arc_to_object, object_to_arc
 from .configurations import (
     ArcConfiguration,
     Verdict,
@@ -28,7 +30,7 @@ from .configurations import (
     DEFAULT_WINDOW,
     materialize,
 )
-from .quiver import FiniteInd, IndObject, PruferInd, _Value, _set, hom_dim
+from .quiver import FiniteInd, IndObject, PruferInd, _Value, _hom_ends, _set
 
 __all__ = [
     "ApproximationKind",
@@ -96,10 +98,13 @@ def approximation_report(
     object for t <= 0, nothing at all for t = 1, and a coslice member
     of span >= t for t >= 2.
 
-    The handled list contains the window members t with nonzero
-    hom_dim(t, d) whose maps factor through the target at dimension
-    level; the rest land in exceptions (a finite leftover is the point
-    of "almost").
+    The handled list contains the window members t with a nonzero map
+    to d that factors through the target: t is the limit object or lies
+    on the slice out of f when the target is the limit object, and Hom(t,
+    target) is nonzero when it is a coslice member.  The rest land in
+    exceptions (a finite leftover is the point of "almost").  The
+    endpoint rules of quiver._hom_ends decide both homs on the arcs of t,
+    d and the target, the rules hom_dim reads off the objects.
     """
     cls = classify(c, window)
     if cls.verdict is not Verdict.CLUSTER_TILTING:
@@ -110,8 +115,10 @@ def approximation_report(
     f = c.infinite_arcs[0]
     n = -f - 2
 
+    # Homs are decided on arc endpoints, the ray at m read as (m, None).
     target: Optional[IndObject]
     if isinstance(d, PruferInd):
+        di, dj = -d.slot - 2, None
         k = d.slot - n
         if k <= 0:
             kind, target = ApproximationKind.PRUFER_OBJECT, PruferInd(n)
@@ -122,37 +129,37 @@ def approximation_report(
             # slot n + k to pass
             kt = max(4, k + 2)
             kind = ApproximationKind.COSLICE_OBJECT
-            target = arc_to_object(FiniteArc(-n - kt, -n - 2))
     else:
         arc = object_to_arc(d)
+        di, dj = arc.a, arc.b
         if arc.a >= -n - 3 or arc.b <= -n - 3:
             kind, target = ApproximationKind.ZERO_SUFFICES, None
         else:
             kt = max(4, -n - arc.a)
             kind = ApproximationKind.COSLICE_OBJECT
-            target = arc_to_object(FiniteArc(-n - kt, -n - 2))
+    ti = tj = None
+    if kind is ApproximationKind.COSLICE_OBJECT:
+        ti, tj = -n - kt, -n - 2
+        target = arc_to_object(FiniteArc(ti, tj))
 
+    # A member with a nonzero map to d is handled when the target is the
+    # limit object and the member is that object or on the slice out of
+    # f, or when the target is a coslice member it maps to.
+    zero = kind is ApproximationKind.ZERO_SUFFICES
+    prufer = kind is ApproximationKind.PRUFER_OBJECT
     handled: list[Arc] = []
     exceptions: list[Arc] = []
     for member in materialize(c, window):
-        t_obj = arc_to_object(member)
-        if hom_dim(t_obj, d).value != 1:
-            continue
-        if kind is ApproximationKind.ZERO_SUFFICES:
-            exceptions.append(member)
-        elif kind is ApproximationKind.PRUFER_OBJECT:
-            on_slice = isinstance(member, FiniteArc) and member.a == f
-            if on_slice or isinstance(t_obj, PruferInd):
-                handled.append(member)
-            else:
-                exceptions.append(member)
+        if member.__class__ is FiniteArc:
+            a, b = member.a, member.b
+            if not _hom_ends(a, b, di, dj):
+                continue
+            covered = not zero and (a == f if prufer else _hom_ends(a, b, ti, tj))
         else:
-            if isinstance(t_obj, PruferInd):
-                exceptions.append(member)
-            elif hom_dim(t_obj, target).value == 1:
-                handled.append(member)
-            else:
-                exceptions.append(member)
+            if not _hom_ends(member.m, None, di, dj):
+                continue
+            covered = prufer
+        (handled if covered else exceptions).append(member)
     return ApproximationReport(
         kind=kind,
         target=target,

@@ -15,7 +15,9 @@ Fan and SplitFan keep their feet, (v, v) and (p, q), in a derived slot
 `_feet`, and every closed form reads a fan through it as a split fan but
 two: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
 Fan(0) gives (0, 2), not the split fan's least member (-2, 0)), and
-materialize, which tests check the closed forms against.
+materialize, which tests check the closed forms against.  materialize
+lists the endpoint pairs of the members in its window, one branch per
+kind, and builds each arc once from the sorted pairs.
 
 A configuration is normalized once, when it is built: its Explicit sets
 merge into one, and a repeated family, SplitFan(m, m) counting as
@@ -413,30 +415,32 @@ def _infinite_vs_generator(g: Generator, m: int) -> Optional[FiniteArc]:
     return FiniteArc(p, m + 1)
 
 
-def _materialize_generator(g: Generator, window: tuple[int, int]) -> list[FiniteArc]:
-    # Written apart from _members_of_span and _feet: tests and the
-    # acceptance suites check the closed forms against materialize.
+def _materialize_generator(
+    g: Generator, window: tuple[int, int]
+) -> list[tuple[int, int]]:
+    # The endpoint pairs of the members of g in the window, one branch
+    # per kind.  Written apart from _members_of_span and _feet: tests and
+    # the acceptance suites check the closed forms against materialize.
     lo, hi = window
-    out: list[FiniteArc] = []
     if isinstance(g, Fan):
         v = g.vertex
-        if lo <= v <= hi:
-            out.extend(FiniteArc(v - k, v) for k in range(2, v - lo + 1))
-            out.extend(FiniteArc(v, v + k) for k in range(2, hi - v + 1))
-    elif isinstance(g, Zigzag):
+        if not lo <= v <= hi:
+            return []
+        return [(a, v) for a in range(lo, v - 1)] + [
+            (v, b) for b in range(v + 2, hi + 1)
+        ]
+    if isinstance(g, Zigzag):
         c0 = g.center
-        for n in range(1, min(c0 - lo, hi - c0) + 1):
-            out.append(FiniteArc(c0 - n, c0 + n))
-        for n in range(1, min(c0 - lo - 1, hi - c0) + 1):
-            out.append(FiniteArc(c0 - n - 1, c0 + n))
-    else:
-        if lo <= g.p <= hi:
-            out.extend(FiniteArc(g.p - k, g.p) for k in range(2, g.p - lo + 1))
-            out.extend(
-                FiniteArc(g.p, j) for j in range(g.p + 2, min(g.q, hi) + 1)
-            )
-        if lo <= g.q <= hi:
-            out.extend(FiniteArc(g.q, g.q + k) for k in range(2, hi - g.q + 1))
+        return [(c0 - n, c0 + n) for n in range(1, min(c0 - lo, hi - c0) + 1)] + [
+            (c0 - n - 1, c0 + n) for n in range(1, min(c0 - lo - 1, hi - c0) + 1)
+        ]
+    p, q = g.p, g.q
+    out: list[tuple[int, int]] = []
+    if lo <= p <= hi:
+        out += [(a, p) for a in range(lo, p - 1)]
+        out += [(p, b) for b in range(p + 2, min(q, hi) + 1)]
+    if lo <= q <= hi:
+        out += [(q, b) for b in range(q + 2, hi + 1)]
     return out
 
 
@@ -447,10 +451,10 @@ def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    arcs = {t for t in c._explicit if lo <= t.a and t.b <= hi}
+    ends = {(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi}
     for g in c._families:
-        arcs.update(_materialize_generator(g, window))
-    out: list[Arc] = sorted(arcs, key=arc_sort_key)
+        ends.update(_materialize_generator(g, window))
+    out: list[Arc] = [FiniteArc(a, b) for a, b in sorted(ends)]
     out.extend(InfiniteArc(m) for m in c.infinite_arcs if lo <= m <= hi)
     return out
 

@@ -37,8 +37,8 @@ def render_svg(
     if lo > hi:
         raise ValueError(f"empty window {window}")
     arcs = materialize(c, window)
-    finite = [t for t in arcs if isinstance(t, FiniteArc)]
-    infinite = [t for t in arcs if isinstance(t, InfiniteArc)]
+    finite = [t for t in arcs if t.__class__ is FiniteArc]
+    infinite = [t for t in arcs if t.__class__ is InfiniteArc]
 
     crossing = _crossing_arcs(finite, infinite) if highlight_crossings else set()
 
@@ -46,35 +46,36 @@ def render_svg(
     width = (hi - lo) * UNIT + 2 * MARGIN
     height = max_r + 2 * MARGIN + 20
     base = height - MARGIN
-
-    def x(v: int) -> int:
-        return MARGIN + (v - lo) * UNIT
+    # the x coordinate of vertex v is off + v * UNIT
+    off = MARGIN - lo * UNIT
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f"<style>{_STYLE}</style>",
-        f'<line class="axis" x1="{x(lo) - 20}" y1="{base}" '
-        f'x2="{x(hi) + 20}" y2="{base}"/>',
+        f'<line class="axis" x1="{off + lo * UNIT - 20}" y1="{base}" '
+        f'x2="{off + hi * UNIT + 20}" y2="{base}"/>',
     ]
+    tick_y = f'" y1="{base - 4}" x2="'
+    tick_end = f'" y2="{base + 4}"/>'
+    lbl_y = f'" y="{base + 18}">'
     for v in range(lo, hi + 1):
-        parts.append(
-            f'<line class="tick" x1="{x(v)}" y1="{base - 4}" '
-            f'x2="{x(v)}" y2="{base + 4}"/>'
-        )
-        parts.append(f'<text class="lbl" x="{x(v)}" y="{base + 18}">{v}</text>')
+        xv = off + v * UNIT
+        parts.append(f'<line class="tick" x1="{xv}{tick_y}{xv}{tick_end}')
+        parts.append(f'<text class="lbl" x="{xv}{lbl_y}{v}</text>')
     for t in finite:
         r = t.span * UNIT // 2
         cls = "arc crossing" if t in crossing else "arc"
         parts.append(
-            f'<path class="{cls}" d="M {x(t.a)} {base} '
-            f'A {r} {r} 0 0 1 {x(t.b)} {base}"/>'
+            f'<path class="{cls}" d="M {off + t.a * UNIT} {base} '
+            f'A {r} {r} 0 0 1 {off + t.b * UNIT} {base}"/>'
         )
     for t in infinite:
         cls = "ray crossing" if t in crossing else "ray"
+        xm = off + t.m * UNIT
         parts.append(
-            f'<line class="{cls}" x1="{x(t.m)}" y1="{base}" '
-            f'x2="{x(t.m)}" y2="{MARGIN // 2}"/>'
+            f'<line class="{cls}" x1="{xm}" y1="{base}" '
+            f'x2="{xm}" y2="{MARGIN // 2}"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

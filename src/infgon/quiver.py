@@ -31,6 +31,8 @@ region inequalities appear) is called once with four ints, or a wedge
 or slot comparison decides for a limit object, and HomDim and its
 HomWitness are built in place, without the checks of their public
 constructors.  arcs.ext_via_crossing builds its records the same way.
+_hom_ends states the same four rules on arc endpoints alone, for callers
+that hold arcs and need no witness.
 """
 from __future__ import annotations
 
@@ -308,6 +310,20 @@ def _region(i: int, j: int, m: int, n: int) -> Optional[str]:
     if i <= m <= j - 2 and n >= j:
         return "plus"
     return None
+
+
+def _hom_ends(i: int, j: Optional[int], m: int, n: Optional[int]) -> bool:
+    """Whether Hom from the object with arc (i, j) to the object with arc
+    (m, n) is nonzero, where an end None makes the arc the ray to
+    infinity at its left end, the arc of a limit object.  These are the
+    rules of hom_dim read on arc endpoints."""
+    if j is None:
+        if n is None:
+            return i <= m
+        return m + 2 <= i <= n
+    if n is None:
+        return i <= m <= j - 2
+    return _region(i, j, m, n) is not None
 
 
 def _finite_arc(func: str, name: str, x: object) -> tuple[int, int]:

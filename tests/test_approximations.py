@@ -9,8 +9,10 @@ case, and slot >= 0 needs a finite coslice target.
 
 import pytest
 
+from infgon import quiver
 from infgon import (
     ApproximationKind,
+    ApproximationReport,
     ArcConfiguration,
     DirectSystemDescriptor,
     Explicit,
@@ -22,6 +24,7 @@ from infgon import (
     PruferInd,
     PruferLimit,
     RidesSliceFrom,
+    SplitFan,
     ZeroLimit,
     Zigzag,
     ZigzagsForever,
@@ -173,6 +176,102 @@ class TestReportCoherence:
                 ArcConfiguration([Explicit({FiniteArc(0, 2)})], []),
                 FiniteInd(0, 0),
             )
+
+
+def report_by_objects(c, d, window):
+    """The report as approximation_report built it per member object:
+    arc_to_object on every member, and hom_dim to d and to the target."""
+    f = c.infinite_arcs[0]
+    n = -f - 2
+    if isinstance(d, PruferInd):
+        k = d.slot - n
+        if k <= 0:
+            kind, target = ApproximationKind.PRUFER_OBJECT, PruferInd(n)
+        elif k == 1:
+            kind, target = ApproximationKind.ZERO_SUFFICES, None
+        else:
+            kind = ApproximationKind.COSLICE_OBJECT
+            target = arc_to_object(FiniteArc(-n - max(4, k + 2), -n - 2))
+    else:
+        arc = object_to_arc(d)
+        if arc.a >= -n - 3 or arc.b <= -n - 3:
+            kind, target = ApproximationKind.ZERO_SUFFICES, None
+        else:
+            kind = ApproximationKind.COSLICE_OBJECT
+            target = arc_to_object(FiniteArc(-n - max(4, -n - arc.a), -n - 2))
+    handled, exceptions = [], []
+    for member in materialize(c, window):
+        t_obj = arc_to_object(member)
+        if hom_dim(t_obj, d).value != 1:
+            continue
+        if kind is ApproximationKind.ZERO_SUFFICES:
+            exceptions.append(member)
+        elif kind is ApproximationKind.PRUFER_OBJECT:
+            on_slice = isinstance(member, FiniteArc) and member.a == f
+            if on_slice or isinstance(t_obj, PruferInd):
+                handled.append(member)
+            else:
+                exceptions.append(member)
+        elif isinstance(t_obj, FiniteInd) and hom_dim(t_obj, target).value == 1:
+            handled.append(member)
+        else:
+            exceptions.append(member)
+    return ApproximationReport(
+        kind, target, f, n, window, tuple(handled), tuple(exceptions)
+    )
+
+
+def cluster_tilting(f):
+    # Fan(f) and SplitFan(f, f), bare and with explicit member arcs
+    members = Explicit({FiniteArc(f - 3, f), FiniteArc(f, f + 5)})
+    for g in (Fan(f), SplitFan(f, f)):
+        yield ArcConfiguration([g], [f])
+        yield ArcConfiguration([members, g], [f])
+
+
+def inputs(f):
+    n = -f - 2
+    # Pruefer objects with k = slot - n from -3 to 4
+    yield from (PruferInd(n + k) for k in range(-3, 5))
+    # finite objects around f: zero-suffices and coslice both occur
+    for a in range(f - 9, f + 3):
+        for b in range(a + 2, f + 6):
+            yield arc_to_object(FiniteArc(a, b))
+
+
+class TestEndpointReport:
+    """approximation_report decides its homs on arc endpoints; it equals
+    the report built per member object through hom_dim."""
+
+    @pytest.mark.parametrize("f", [-3, 0, 4])
+    def test_matches_the_object_loop(self, f):
+        kinds = {}
+        windows = [(f - 9, f + 9), (f - 12, f - 1), (f + 1, f + 10), (f, f), (f - 2, f + 3)]
+        for c in cluster_tilting(f):
+            for d in inputs(f):
+                for window in windows:
+                    got = approximation_report(c, d, window)
+                    assert got == report_by_objects(c, d, window), (c, d, window)
+                    kinds[got.kind] = kinds.get(got.kind, 0) + 1
+        assert set(kinds) == set(ApproximationKind)
+
+    def test_answers_without_hom_dim(self, monkeypatch):
+        objects = (PruferInd(-3), PruferInd(-1), PruferInd(2), FiniteInd(-1, 2))
+        want = {d: approximation_report(FAN_CT, d) for d in objects}
+        assert {r.kind for r in want.values()} == set(ApproximationKind)
+
+        def no_hom(*args):
+            raise AssertionError("hom_dim called per member")
+
+        monkeypatch.setattr(quiver, "_hom_dim", no_hom)
+        for d, r in want.items():
+            assert approximation_report(FAN_CT, d) == r
+
+    def test_errors_kept(self):
+        with pytest.raises(TypeError, match="object_to_arc takes"):
+            approximation_report(FAN_CT, FiniteArc(0, 2))
+        with pytest.raises(ValueError, match="empty window"):
+            approximation_report(FAN_CT, FiniteInd(0, 0), window=(3, 2))
 
 
 class TestDirectSystems:

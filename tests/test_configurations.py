@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import configurations
+from infgon import configurations, diagram
 from infgon.arcs import _CROSS, arc_sort_key
 from infgon import (
     AddableArc,
@@ -192,6 +192,86 @@ class TestMaterialize:
         for i, x in enumerate(arcs):
             for y in arcs[i + 1 :]:
                 assert arcs_cross(x, y) is CrossResult.NO_CROSS, (gen, x, y)
+
+
+def in_family(g, t):
+    # membership read off the definitions in the module docstring
+    a, b = t.a, t.b
+    if isinstance(g, Zigzag):
+        c0 = g.center
+        return b > c0 and a + b in (2 * c0, 2 * c0 - 1)
+    p, q = (g.vertex, g.vertex) if isinstance(g, Fan) else (g.p, g.q)
+    return b == p or a == q or (a == p and b <= q)
+
+
+def materialize_by_objects(c, window):
+    """The construction materialize replaced: a set of FiniteArc objects,
+    every window arc tested against the generators as written, sorted by
+    arc_sort_key, then the arcs to infinity."""
+    lo, hi = window
+    arcs = set()
+    for g in c.generators:
+        if isinstance(g, Explicit):
+            arcs |= {t for t in g.arcs if lo <= t.a and t.b <= hi}
+        else:
+            arcs |= {t for t in window_arcs(lo, hi) if in_family(g, t)}
+    out = sorted(arcs, key=arc_sort_key)
+    out.extend(InfiniteArc(m) for m in c.infinite_arcs if lo <= m <= hi)
+    return out
+
+
+families = st.one_of(
+    st.builds(Fan, st.integers(-6, 6)),
+    st.builds(Zigzag, st.integers(-6, 6)),
+    st.builds(lambda p, d: SplitFan(p, p + d), st.integers(-6, 6), st.integers(0, 6)),
+    st.builds(lambda p: SplitFan(p, p), st.integers(-6, 6)),
+)
+
+
+class TestMaterializeEndpoints:
+    """materialize lists endpoint pairs and builds each arc once; the
+    list and its order are those of the object construction."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(families, max_size=2),
+        st.data(),
+        st.lists(st.integers(-8, 8), max_size=3),
+        st.integers(-10, 10),
+        st.integers(0, 14),
+    )
+    def test_matches_the_object_construction(self, fams, data, inf, lo, width):
+        arcs = data.draw(st.lists(finite_arcs, max_size=4))
+        if fams:
+            # explicit arcs that are also members of the first family
+            members = [t for t in window_arcs(-8, 8) if in_family(fams[0], t)]
+            arcs += data.draw(st.lists(st.sampled_from(members), max_size=4))
+        c = cfg(*fams, Explicit(arcs), inf=inf)
+        window = (lo, lo + width)
+        assert materialize(c, window) == materialize_by_objects(c, window)
+
+    @pytest.mark.parametrize(
+        "g,window",
+        [
+            (SplitFan(2, 2), (-5, 9)),
+            (SplitFan(2, 2), (3, 9)),  # leaves out the vertex
+            (SplitFan(-1, 3), (0, 2)),  # leaves out both feet
+            (SplitFan(-1, 3), (-1, 1)),  # one foot, narrower than the bridge
+            (Fan(0), (0, 0)),
+            (Fan(0), (-1, 1)),
+            (Zigzag(4), (5, 12)),  # leaves out the centre
+            (Zigzag(4), (4, 4)),
+            (Zigzag(4), (3, 5)),
+        ],
+    )
+    def test_pinned_windows(self, g, window):
+        members = [t for t in window_arcs(-8, 12) if in_family(g, t)][::5]
+        for c in (cfg(g), cfg(g, Explicit(members), inf=[window[0]])):
+            assert materialize(c, window) == materialize_by_objects(c, window)
+
+    def test_empty_window_raises(self):
+        with pytest.raises(ValueError, match="empty window"):
+            materialize(cfg(Fan(0)), (1, 0))
 
 
 class TestNoncrossing:
@@ -567,6 +647,16 @@ class TestBoundedWork:
             FiniteArc(1, 5),
             FiniteArc(0, 6),
         ]
+
+    def test_no_arc_sort_key_on_family_configurations(self, monkeypatch):
+        def no_key(arc):
+            raise AssertionError(f"arc_sort_key called on {arc}")
+
+        monkeypatch.setattr(configurations, "arc_sort_key", no_key)
+        for g in (Fan(0), Zigzag(1), SplitFan(-2, 3), SplitFan(2, 2)):
+            c = cfg(g, inf=[0])
+            assert len(materialize(c, (-9, 9))) > 10
+            assert diagram.render_svg(c, (-9, 9), True).endswith("</svg>\n")
 
 
 coords = st.integers(-6, 6)

@@ -32,7 +32,7 @@ from infgon import (
     arcs_cross,
     wedge_contains,
 )
-from infgon.quiver import _region
+from infgon.quiver import _hom_ends, _region
 
 
 def h_region_set(center, part, m_lo, m_hi, n_lo, n_hi):
@@ -433,6 +433,29 @@ class TestFlatAnswerPath:
             assert got == want
             assert repr(got) == repr(want)
             assert type(got) is HomDim and type(got.witness) is HomWitness
+
+
+class TestEndpointRules:
+    # _hom_ends decides Hom on arc endpoints, a ray at m written (m, None);
+    # pinned here against hom_dim on every pair of arcs and rays in +-9
+
+    @staticmethod
+    def _object(i, j):
+        return PruferInd(-i - 2) if j is None else FiniteInd(-j, j - i - 2)
+
+    def test_every_pair_of_kinds_in_a_window(self):
+        ends = [(a, b) for a in range(-9, 10) for b in range(a + 2, 10)]
+        ends += [(m, None) for m in range(-9, 10)]
+        kinds = {}
+        for i, j in ends:
+            x = self._object(i, j)
+            for m, n in ends:
+                got = _hom_ends(i, j, m, n)
+                assert got == (hom_dim(x, self._object(m, n)).value == 1), (i, j, m, n)
+                key = (j is None, n is None)
+                kinds[key] = kinds.get(key, 0) + got
+        # all four pairs of kinds occur, each with nonzero homs
+        assert len(kinds) == 4 and all(kinds.values())
 
 
 class TestCompositeNonzero:
