@@ -25,7 +25,7 @@ Fan(m), is dropped.  Its `generators` field keeps them as written, for
 repr, equality and the file format; every check and verdict reads the
 normal form.  A crossing index over the merged set, a sparse table of
 sorted endpoints, tells in O(log n) whether an arc crosses one of its
-arcs; noncrossing_check, the addable-arc scan and diagram ask it.
+arcs; noncrossing_check, the addable-arc search and diagram ask it.
 
 Fan, Zigzag and SplitFan each describe a maximal non-crossing family, so
 an arc is compatible with one of them exactly when it is a member, and
@@ -36,13 +36,14 @@ crossing witnesses against families and strong overarcs are closed
 forms, whatever the coordinates, and a configuration with a family is
 certified maximal at once.  The acceptance suites family-maximality and
 overarc-witnesses re-check membership, maximality and overarcs over
-windows.  A window enters only the scan for an addable arc when every
-generator is Explicit.  Classification follows the combinatorial
-characterization: with no arc to infinity, a configuration is weakly
-cluster tilting iff its arcs are maximal non-crossing and locally
-finite; with exactly one arc to infinity at m, iff the finite part is
-maximal non-crossing with a two-sided fountain at m, and that case is
-moreover cluster tilting.
+windows.  When every generator is Explicit, the addable arc is found
+from the explicit arcs' endpoints, and the window only chooses which
+one is reported, not how much work is done.  Classification follows
+the combinatorial characterization: with no arc to infinity, a
+configuration is weakly cluster tilting iff its arcs are maximal
+non-crossing and locally finite; with exactly one arc to infinity at m,
+iff the finite part is maximal non-crossing with a two-sided fountain
+at m, and that case is moreover cluster tilting.
 """
 from __future__ import annotations
 
@@ -168,15 +169,16 @@ def _reach(pairs: list) -> Callable:
     return reach
 
 
-def _crossing_index(pairs: list) -> Callable:
-    """crosses(a, b): whether the arc (a, b) crosses one of the arcs
-    given as endpoint pairs, in O(log n).  (a, b) crosses (i, j) when
-    a < i < b < j, so some pair with its left end in (a, b) reaches past
-    b, or when i < a < j < b, the same test on the pairs mirrored through
-    0.  An arc to infinity at m is the pair (m, inf)."""
+def _crossing_index(pairs: list) -> tuple[Callable, Callable]:
+    """(reach, crosses): reach of the pairs, and whether the arc (a, b)
+    crosses one of the arcs given as endpoint pairs, in O(log n).  (a, b)
+    crosses (i, j) when a < i < b < j, so some pair with its left end in
+    (a, b) reaches past b, or when i < a < j < b, the same test on the
+    pairs mirrored through 0.  An arc to infinity at m is the pair
+    (m, inf)."""
     right = _reach(pairs)
     left = _reach([(-j, -i) for i, j in pairs])
-    return lambda a, b: right(a, b) > b or left(-b, -a) > -a
+    return right, lambda a, b: right(a, b) > b or left(-b, -a) > -a
 
 
 class ArcConfiguration(_Value):
@@ -185,15 +187,17 @@ class ArcConfiguration(_Value):
     The fields are `generators`, kept as written, and `infinite_arcs`,
     stored sorted without duplicates.  The constructor normalizes once,
     into derived slots that are not fields: `_explicit`, the union of
-    the Explicit arc sets, `_crosses`, its crossing index, and
-    `_families`, the other generators without repeats, compared with
-    SplitFan(m, m) read as Fan(m) and kept in their first spelling, so
-    crossing witnesses stay those of the generators as written.  Every
-    question reads those.  Raises TypeError on a generator that is not
+    the Explicit arc sets, `_crosses`, its crossing index, `_reach`,
+    the right half of that index, and `_families`, the other generators
+    without repeats, compared with SplitFan(m, m) read as Fan(m) and
+    kept in their first spelling, so crossing witnesses stay those of
+    the generators as written.  Every question reads those.  Raises TypeError on a generator that is not
     Explicit, Fan, Zigzag or SplitFan, an explicit arc that is not a
     FiniteArc, or a family parameter or slot that is not an int."""
 
-    __slots__ = ("generators", "infinite_arcs", "_explicit", "_crosses", "_families")
+    __slots__ = (
+        "generators", "infinite_arcs", "_explicit", "_reach", "_crosses", "_families"
+    )
     __match_args__ = ("generators", "infinite_arcs")
 
     def __init__(self, generators=(), infinite_arcs=()) -> None:
@@ -224,7 +228,9 @@ class ArcConfiguration(_Value):
         _set(self, "generators", generators)
         _set(self, "infinite_arcs", tuple(sorted(set(slots))))
         _set(self, "_explicit", frozenset(explicit))
-        _set(self, "_crosses", _crossing_index([(t.a, t.b) for t in explicit]))
+        reach, crosses = _crossing_index([(t.a, t.b) for t in explicit])
+        _set(self, "_reach", reach)
+        _set(self, "_crosses", crosses)
         _set(self, "_families", tuple(families))
 
 
@@ -566,11 +572,16 @@ class AddableArc(_Value):
 MaximalityResult = Union[CertifiedMaximal, WindowVerified, AddableArc]
 
 
-def _candidates(window: tuple[int, int]):
-    lo, hi = window
-    for a in range(lo, hi - 1):
-        for b in range(a + 2, hi + 1):
-            yield FiniteArc(a, b)
+def _candidates(explicit: frozenset, lo: int) -> range:
+    """The left ends worth trying for an addable arc: lo up to the first
+    f >= lo off {t.a - 1, t.a, t.b - 1}, at most 3n + 1 of them.  (f,
+    f + 2) is no explicit arc, as none starts at f, and crosses none, as
+    none starts or ends at f + 1."""
+    s = {x for t in explicit for x in (t.a - 1, t.a, t.b - 1)}
+    f = lo
+    while f in s:
+        f += 1
+    return range(lo, f + 1)
 
 
 def maximality_check(
@@ -583,21 +594,36 @@ def maximality_check(
     exactly one, every explicit arc is a member of it, and it is
     CertifiedMaximal in O(1); the family-maximality acceptance suite
     re-checks that theorem over windows.  A pure Explicit configuration
-    is never maximal: the window is scanned lexicographically for an
-    addable arc, each candidate asking the crossing index in O(log n),
-    and if the window is exhausted the arc just beyond the right end of
-    the span is returned, which cannot cross anything inside the span
-    (with no arcs at all, the arc from the window's left end).  The
-    window matters only for that scan.  A caller that skips
+    is never maximal: its addable arc is the least (a, b) of the window,
+    lexicographically, that is no explicit arc and crosses none.  For
+    each left end a of _candidates, b starts at a + 2 and jumps to the
+    farthest right end of the arcs starting inside (a, b) while that
+    passes b; an arc around a that ends inside (a, b) rules a out, and
+    an explicit (a, b) moves b by one.  So every step passes an arc and
+    the work is O(n log n).  If the window is exhausted, the arc just
+    beyond the right end of the span is returned, which cannot cross
+    anything inside the span (with no arcs at all, the arc from the
+    window's left end).  The window chooses which addable arc is
+    reported, not how much work is done.  A caller that skips
     noncrossing_check and leaves a second family or a non-member
     explicit arc next to a family gets WindowVerified.
     """
     explicit, bigs = c._explicit, c._families
     if not bigs:
-        for cand in _candidates(window):
-            if cand not in explicit and not c._crosses(cand.a, cand.b):
-                return AddableArc(cand)
-        h = max((t.b for t in explicit), default=window[0])
+        lo, hi = window
+        for a in _candidates(explicit, lo):
+            b = a + 2
+            while b <= hi:
+                r = c._reach(a, b)
+                if r > b:
+                    b = r
+                elif c._crosses(a, b):
+                    break
+                elif FiniteArc(a, b) in explicit:
+                    b += 1
+                else:
+                    return AddableArc(FiniteArc(a, b))
+        h = max((t.b for t in explicit), default=lo)
         return AddableArc(FiniteArc(h, h + 2))
     if len(bigs) == 1 and all(_family_member(bigs[0], t) for t in explicit):
         return CertifiedMaximal()
@@ -652,35 +678,6 @@ class Reason(_Value):
         _set(self, "profile", profile)
         _set(self, "facts", facts)
 
-    # Not hot, but seven fields: the _Value versions, which read them
-    # through one attrgetter, compare and hash about 30% slower than
-    # this straight-line code.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.kind == other.kind
-                and self.crossing == other.crossing
-                and self.addable == other.addable
-                and self.infinite_slots == other.infinite_slots
-                and self.fountain_vertex == other.fountain_vertex
-                and self.profile == other.profile
-                and self.facts == other.facts
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.kind,
-                self.crossing,
-                self.addable,
-                self.infinite_slots,
-                self.fountain_vertex,
-                self.profile,
-                self.facts,
-            )
-        )
-
 
 class Classification(_Value):
     __slots__ = __match_args__ = ("verdict", "reason")
@@ -705,9 +702,10 @@ def classify(
     with a two-sided fountain at m; that case subsumes the
     fountain-flavoured weak verdict.
 
-    The window bounds only the search for an addable arc of a pure
-    Explicit configuration; a configuration with a family is certified
-    maximal whatever the window, so its cost does not grow with it.
+    The window only chooses which addable arc a pure Explicit
+    configuration reports, the least one inside it; a configuration
+    with a family is certified maximal whatever the window.  Neither
+    cost grows with the window.
     """
     infs = c.infinite_arcs
     if len(infs) >= 2:

@@ -85,7 +85,7 @@ def _crossing_arcs(finite: list[FiniteArc], infinite: list[InfiniteArc]) -> set:
     """The arcs that cross at least one other arc, from one crossing index
     over all of them, in O(n log n); a ray at m is the arc (m, inf)."""
     ends = [(t.a, t.b) for t in finite] + [(t.m, float("inf")) for t in infinite]
-    crosses = _crossing_index(ends)
+    _, crosses = _crossing_index(ends)
     return {t for t, (a, b) in zip(finite + infinite, ends) if crosses(a, b)}
 
 

@@ -703,6 +703,27 @@ class TestModuleInvocation:
             "WITNESS crossing -2,0 x -1,5000\n"
         )
 
+    def test_nested_arcs_classify_at_any_window(self, tmp_path):
+        # twenty arcs from the window's left edge to past its right edge:
+        # the addable arc comes from their endpoints, not a window walk
+        lo, hi = -(10**6), 10**6
+        arcs = [[lo + 1 + k, hi + 21 - k] for k in range(20)]
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"generators": [{"kind": "explicit", "arcs": arcs}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "infgon.cli", "classify", "--config", str(path),
+             "--window", f"{lo}:{hi}"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "VERDICT NotWCT\n"
+            "WITNESS reason addable_arc\n"
+            "WITNESS addable -999980,-999978\n"
+        )
+
 
 # Runs main(argv) in a fresh interpreter and prints, as one JSON line after
 # the command's output, its exit code, the infgon submodules it loaded,

@@ -418,8 +418,8 @@ class TestClosedFormMaximality:
     def test_classify_never_scans_the_window_for_a_family(self, c, monkeypatch):
         want = classify(c, (-12, 12))
 
-        def no_scan(window):
-            raise AssertionError(f"window scanned: {window}")
+        def no_scan(*args):
+            raise AssertionError(f"addable arc sought: {args}")
 
         monkeypatch.setattr(configurations, "_candidates", no_scan)
         assert classify(c, (-(10**6), 10**6)) == want
@@ -512,7 +512,8 @@ class TestClosedForms:
 # The pairwise loops the crossing index replaced, kept verbatim as the
 # reference for Explicit-only configurations: every explicit pair in
 # sorted order, then each arc to infinity against the explicit arcs, and
-# every window candidate against every explicit arc.
+# the window scan the endpoint search for an addable arc replaced, every
+# window candidate against every explicit arc.
 def pairwise_noncrossing(c):
     ex = sorted(c._explicit, key=arc_sort_key)
     for i, t1 in enumerate(ex):
@@ -553,8 +554,9 @@ explicit_sets = st.one_of(st.frozensets(index_arcs, max_size=12), family_parts)
 
 
 class TestCrossingIndex:
-    """The crossing index of the explicit arcs against the pairwise
-    loops it replaced, on Explicit-only configurations."""
+    """The crossing index of the explicit arcs and the addable-arc
+    search against the loops they replaced, on Explicit-only
+    configurations."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -626,6 +628,41 @@ class TestBoundedWork:
         r = classify(cfg(Zigzag(0), Explicit([far])))
         assert time.perf_counter() - start < 0.5
         assert r.reason.crossing == (far, FiniteArc(-(10**6) - 1, 10**6 + 1))
+
+    @pytest.mark.parametrize(
+        "arcs,window,addable",
+        [
+            # twenty nested arcs from the window's left edge past its right
+            (
+                [FiniteArc(-(10**6) + 1 + k, 10**6 + 21 - k) for k in range(20)],
+                (-(10**6), 10**6),
+                FiniteArc(-999980, -999978),
+            ),
+            # (0, 2) encloses the left end 1 for every right end
+            ([FiniteArc(0, 2)], (1, 10**6), FiniteArc(2, 4)),
+        ],
+    )
+    def test_addable_arc_asks_the_index_linearly_often(
+        self, monkeypatch, arcs, window, addable
+    ):
+        queries = []
+        build = configurations._reach
+
+        def counted(pairs):
+            reach = build(pairs)
+
+            def query(a, b):
+                queries.append((a, b))
+                return reach(a, b)
+
+            return query
+
+        monkeypatch.setattr(configurations, "_reach", counted)
+        c = cfg(Explicit(arcs))
+        assert maximality_check(c, window) == AddableArc(addable)
+        # at most 3n + 1 left ends, each with at most 2 deg(a) + 2 steps
+        # of at most three queries: a jump and both halves of a crossing
+        assert len(queries) <= 24 * (len(arcs) + 1)
 
     def test_no_witness_materializes_a_window(self, monkeypatch):
         def no_window(g, window):
