@@ -22,13 +22,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from .arcs import Arc, FiniteArc, arc_to_object, object_to_arc
+from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
 from .configurations import (
     ArcConfiguration,
     Verdict,
     classify,
     DEFAULT_WINDOW,
-    materialize,
+    _member_ends,
 )
 from .quiver import FiniteInd, IndObject, PruferInd, _Value, _hom_ends, _set
 
@@ -149,17 +149,14 @@ def approximation_report(
     prufer = kind is ApproximationKind.PRUFER_OBJECT
     handled: list[Arc] = []
     exceptions: list[Arc] = []
-    for member in materialize(c, window):
-        if member.__class__ is FiniteArc:
-            a, b = member.a, member.b
-            if not _hom_ends(a, b, di, dj):
-                continue
+    pairs, rays = _member_ends(c, window)
+    for a, b in pairs:
+        if _hom_ends(a, b, di, dj):
             covered = not zero and (a == f if prufer else _hom_ends(a, b, ti, tj))
-        else:
-            if not _hom_ends(member.m, None, di, dj):
-                continue
-            covered = prufer
-        (handled if covered else exceptions).append(member)
+            (handled if covered else exceptions).append(FiniteArc(a, b))
+    for m in rays:
+        if _hom_ends(m, None, di, dj):
+            (handled if prufer else exceptions).append(InfiniteArc(m))
     return ApproximationReport(
         kind=kind,
         target=target,

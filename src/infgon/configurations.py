@@ -16,8 +16,8 @@ Fan and SplitFan keep their feet, (v, v) and (p, q), in a derived slot
 two: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
 Fan(0) gives (0, 2), not the split fan's least member (-2, 0)), and
 materialize, which tests check the closed forms against.  materialize
-lists the endpoint pairs of the members in its window, one branch per
-kind, and builds each arc once from the sorted pairs.
+sorts the endpoint pairs of the members in its window, one branch per
+kind; diagram and approximations build arcs only for what they return.
 
 A configuration is normalized once, when it is built: its Explicit sets
 merge into one, and a repeated family, SplitFan(m, m) counting as
@@ -31,19 +31,19 @@ Fan, Zigzag and SplitFan each describe a maximal non-crossing family, so
 an arc is compatible with one of them exactly when it is a member, and
 two distinct families always cross.  A family has at most three members
 of each span, with endpoints linear in the span, so the least member
-satisfying an endpoint condition lies among a fixed set of spans:
-crossing witnesses against families and strong overarcs are closed
-forms, whatever the coordinates, and a configuration with a family is
-certified maximal at once.  The acceptance suites family-maximality and
-overarc-witnesses re-check membership, maximality and overarcs over
-windows.  When every generator is Explicit, the addable arc is found
-from the explicit arcs' endpoints, and the window only chooses which
-one is reported, not how much work is done.  Classification follows
-the combinatorial characterization: with no arc to infinity, a
-configuration is weakly cluster tilting iff its arcs are maximal
-non-crossing and locally finite; with exactly one arc to infinity at m,
-iff the finite part is maximal non-crossing with a two-sided fountain
-at m, and that case is moreover cluster tilting.
+satisfying an endpoint condition lies among a fixed set of spans, tried
+on int pairs: crossing witnesses against families take a fixed number of
+steps, whatever the coordinates, a zigzag's strong overarc is one closed
+form, and a configuration with a family is certified maximal.  The
+acceptance suites family-maximality and overarc-witnesses re-check
+membership, maximality and overarcs over windows.  When every generator
+is Explicit, the addable arc is found from the explicit arcs' endpoints,
+and the window only chooses which one is reported, not how much work is
+done.  Classification follows the combinatorial characterization: with
+no arc to infinity, a configuration is weakly cluster tilting iff its
+arcs are maximal non-crossing and locally finite; with exactly one arc
+to infinity at m, iff the finite part is maximal non-crossing with a
+two-sided fountain at m, and that case is moreover cluster tilting.
 """
 from __future__ import annotations
 
@@ -56,9 +56,7 @@ from .arcs import (
     Arc,
     FiniteArc,
     InfiniteArc,
-    _CROSS,
     arc_sort_key,
-    arcs_cross,
     format_arc,
 )
 from .quiver import _Value, _set
@@ -140,8 +138,8 @@ class SplitFan(_Value):
 Generator = Union[Explicit, Fan, Zigzag, SplitFan]
 
 
-def _not_a(kinds: str, name: str, x: object) -> TypeError:
-    return TypeError(f"ArcConfiguration takes {kinds}, {name} is {type(x).__name__}")
+def _not_a(kinds: str, name: str, x: object, who: str = "ArcConfiguration") -> TypeError:
+    return TypeError(f"{who} takes {kinds}, {name} is {type(x).__name__}")
 
 
 def _is_int(x: object) -> bool:
@@ -341,48 +339,57 @@ def load_configuration(path: str) -> ArcConfiguration:
 
 
 def _family_member(g: Generator, arc: FiniteArc) -> bool:
+    return _is_member(g, arc.a, arc.b)
+
+
+def _is_member(g: Generator, a: int, b: int) -> bool:
+    # Assumes b - a >= 2, as for a FiniteArc, which the half-fans and bridge ask.
     if isinstance(g, Zigzag):
-        n = arc.b - g.center
-        return n >= 1 and arc.a in (2 * g.center - arc.b, 2 * g.center - arc.b - 1)
-    # A FiniteArc has b - a >= 2, which the half-fans and the bridge ask.
+        return b - g.center >= 1 and a in (2 * g.center - b, 2 * g.center - b - 1)
     p, q = g._feet
-    return arc.b == p or arc.a == q or (arc.a == p and arc.b <= q)
+    return b == p or a == q or (a == p and b <= q)
+
+
+def _pairs_of_span(g: Generator, k: int) -> tuple[tuple[int, int], ...]:
+    # The endpoint pairs of the members of family g with span k >= 2, by a.
+    if isinstance(g, Zigzag):
+        return ((g.center - (k + 1) // 2, g.center + k // 2),)
+    p, q = g._feet
+    if k <= q - p:
+        return (p - k, p), (p, p + k), (q, q + k)
+    return (p - k, p), (q, q + k)
 
 
 def _members_of_span(g: Generator, k: int) -> list[FiniteArc]:
     """The members of family g with span k >= 2, by left endpoint."""
-    if isinstance(g, Zigzag):
-        return [FiniteArc(g.center - (k + 1) // 2, g.center + k // 2)]
-    p, q = g._feet
-    bridge = [FiniteArc(p, p + k)] if k <= q - p else []
-    return [FiniteArc(p - k, p), *bridge, FiniteArc(q, q + k)]
+    return [FiniteArc(a, b) for a, b in _pairs_of_span(g, k)]
+
+
+def _crossing(i: int, j: int) -> Callable[[int, int], bool]:
+    # Whether (a, b) crosses the finite arc (i, j), as arcs_cross decides.
+    return lambda a, b: a < i < b < j or i < a < j < b
 
 
 def _least_member(
-    g: Generator, pred: Callable[[FiniteArc], bool], points: tuple[int, ...]
+    g: Generator, pred: Callable[[int, int], bool], points: tuple[int, ...]
 ) -> Optional[FiniteArc]:
-    """The member of family g least by (span, a) that satisfies pred, or
-    None when no member does.
+    """The member of family g least by (span, a) whose endpoints (a, b)
+    satisfy pred, or None when no member does.
 
     pred must compare endpoints only with the family parameters and
     `points`.  Along each branch of the members of span k (a side of a
     fan, a parity of a zigzag) both endpoints move linearly with k, at
     speed 1 or 1/2, so pred first turns true at k = 2 or 3 or next to a
-    breakpoint m*|x - y| + e with m in {1, 2} and e in -1..3.  Trying
+    breakpoint m*d + e, d a gap |x - y|, m in {1, 2}, e in -1..3.  Trying
     those spans in order decides in a fixed number of steps, whatever
     the coordinates."""
     params = g._values(g)
-    spans = {
-        m * abs(x - y) + e
-        for x in params
-        for y in (*params, *points)
-        for m in (1, 2)
-        for e in range(-1, 4)
-    }
-    for k in sorted(s for s in spans if s >= 2):
-        for t in _members_of_span(g, k):
-            if pred(t):
-                return t
+    gaps = {abs(x - y) for x in params for y in (*params, *points)}
+    for k in sorted({m * d + e for d in gaps for m in (1, 2) for e in range(-1, 4)}):
+        if k >= 2:
+            for a, b in _pairs_of_span(g, k):
+                if pred(a, b):
+                    return FiniteArc(a, b)
     return None
 
 
@@ -401,9 +408,7 @@ def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc
         if arc.a < v < arc.b:
             return FiniteArc(v, arc.b + 1)
         return None  # endpoint touches v: member, handled by caller
-    return _least_member(
-        g, lambda t: arcs_cross(t, arc) is _CROSS, (arc.a, arc.b)
-    )
+    return _least_member(g, _crossing(arc.a, arc.b), (arc.a, arc.b))
 
 
 def _infinite_vs_generator(g: Generator, m: int) -> Optional[FiniteArc]:
@@ -450,19 +455,23 @@ def _materialize_generator(
     return out
 
 
-def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
-    """All arcs of the configuration whose endpoints (the finite one, for
-    arcs to infinity) lie in the inclusive window.  Sorted: finite arcs
-    lexicographically, then infinite arcs by endpoint."""
+def _member_ends(c: ArcConfiguration, window: tuple[int, int]) -> tuple[list, list]:
+    # materialize without the arcs: its sorted endpoint pairs and ray ends.
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
     ends = {(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi}
     for g in c._families:
         ends.update(_materialize_generator(g, window))
-    out: list[Arc] = [FiniteArc(a, b) for a, b in sorted(ends)]
-    out.extend(InfiniteArc(m) for m in c.infinite_arcs if lo <= m <= hi)
-    return out
+    return sorted(ends), [m for m in c.infinite_arcs if lo <= m <= hi]
+
+
+def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
+    """All arcs of the configuration whose endpoints (the finite one, for
+    arcs to infinity) lie in the inclusive window.  Sorted: finite arcs
+    lexicographically, then infinite arcs by endpoint."""
+    pairs, rays = _member_ends(c, window)
+    return [*(FiniteArc(a, b) for a, b in pairs), *map(InfiniteArc, rays)]
 
 
 # --- validation -----------------------------------------------------------
@@ -475,13 +484,10 @@ def _generator_pair_witness(
     t2.span, t2.a), or None when they are the same family.  The members
     of g1 that cross g2 are, by maximality, exactly its non-members, so
     t1 is the least of those and t2 the least member of g2 crossing t1."""
-    t1 = _least_member(g1, lambda t: not _family_member(g2, t), g2._values(g2))
+    t1 = _least_member(g1, lambda a, b: not _is_member(g2, a, b), g2._values(g2))
     if t1 is None:
         return None
-    t2 = _least_member(
-        g2, lambda t: arcs_cross(t, t1) is _CROSS, (t1.a, t1.b)
-    )
-    return t1, t2
+    return t1, _least_member(g2, _crossing(t1.a, t1.b), (t1.a, t1.b))
 
 
 def noncrossing_check(
@@ -502,7 +508,8 @@ def noncrossing_check(
     for t1 in ex:
         if c._crosses(t1.a, t1.b):
             # t1 crosses no earlier arc, or that arc would come first
-            return t1, next(t2 for t2 in ex if arcs_cross(t1, t2) is _CROSS)
+            cross = _crossing(t1.a, t1.b)
+            return t1, next(t2 for t2 in ex if cross(t2.a, t2.b))
     for t in ex:
         for g in bigs:
             w = None if _family_member(g, t) else _family_crossing_witness(g, t)
@@ -818,7 +825,12 @@ def _locally_finite_zigzag(c: ArcConfiguration) -> Zigzag:
 
 
 def _overarc(zig: Zigzag, p: int, q: int) -> FiniteArc:
-    return _least_member(zig, lambda t: t.a < p and t.b > q, (p, q))
+    # The member (c - ceil(k/2), c + floor(k/2)) of span k has a < p and b > q
+    # when ceil(k/2) >= c - p + 1 and floor(k/2) >= max(q - c + 1, 1).
+    c = zig.center
+    n = max(c - p + 1, q - c + 1, 1)
+    odd = c - p + 1 > max(q - c + 1, 1)
+    return FiniteArc(c - n, c + n - odd)
 
 
 def strong_overarc(c: ArcConfiguration, target: Union[FiniteArc, int]) -> FiniteArc:
@@ -834,12 +846,14 @@ def strong_overarc(c: ArcConfiguration, target: Union[FiniteArc, int]) -> Finite
     member, found in closed form with no bound on the target; the
     acceptance suite overarc-witnesses re-checks minimality over windows.
     """
+    if not isinstance(target, FiniteArc):
+        if not _is_int(target):
+            raise _not_a("a FiniteArc or int target", "target", target, "strong_overarc")
+        return _overarc(_locally_finite_zigzag(c), target, target)
     zig = _locally_finite_zigzag(c)
-    if isinstance(target, FiniteArc):
-        if not _family_member(zig, target):
-            raise ValueError(f"target arc {format_arc(target)} not in configuration")
-        return _overarc(zig, target.a, target.b)
-    return _overarc(zig, int(target), int(target))
+    if not _family_member(zig, target):
+        raise ValueError(f"target arc {format_arc(target)} not in configuration")
+    return _overarc(zig, target.a, target.b)
 
 
 def overarc_antichain(
@@ -852,6 +866,10 @@ def overarc_antichain(
     in the slot determined by the seed's left endpoint.  The acceptance
     suite overarc-witnesses re-checks both statements through hom_dim.
     """
+    if not isinstance(seed, FiniteArc):
+        raise _not_a("a FiniteArc seed", "seed", seed, "overarc_antichain")
+    if not _is_int(count):
+        raise _not_a("an int count", "count", count, "overarc_antichain")
     if count < 0:
         raise ValueError("count must be >= 0")
     zig = _locally_finite_zigzag(c)

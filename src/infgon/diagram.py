@@ -10,8 +10,7 @@ highlights ask the crossing index of `configurations` over the arcs drawn.
 """
 from __future__ import annotations
 
-from .arcs import FiniteArc, InfiniteArc
-from .configurations import ArcConfiguration, _crossing_index, materialize
+from .configurations import ArcConfiguration, _crossing_index, _member_ends
 
 __all__ = ["render_svg", "render_to_file"]
 
@@ -34,15 +33,10 @@ def render_svg(
     highlight_crossings: bool = False,
 ) -> str:
     lo, hi = window
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
-    arcs = materialize(c, window)
-    finite = [t for t in arcs if t.__class__ is FiniteArc]
-    infinite = [t for t in arcs if t.__class__ is InfiniteArc]
+    pairs, rays = _member_ends(c, window)
+    crossing = _crossing_arcs(pairs, rays) if highlight_crossings else set()
 
-    crossing = _crossing_arcs(finite, infinite) if highlight_crossings else set()
-
-    max_r = max((t.span * UNIT // 2 for t in finite), default=UNIT)
+    max_r = max(((b - a) * UNIT // 2 for a, b in pairs), default=UNIT)
     width = (hi - lo) * UNIT + 2 * MARGIN
     height = max_r + 2 * MARGIN + 20
     base = height - MARGIN
@@ -63,16 +57,16 @@ def render_svg(
         xv = off + v * UNIT
         parts.append(f'<line class="tick" x1="{xv}{tick_y}{xv}{tick_end}')
         parts.append(f'<text class="lbl" x="{xv}{lbl_y}{v}</text>')
-    for t in finite:
-        r = t.span * UNIT // 2
-        cls = "arc crossing" if t in crossing else "arc"
+    for a, b in pairs:
+        r = (b - a) * UNIT // 2
+        cls = "arc crossing" if (a, b) in crossing else "arc"
         parts.append(
-            f'<path class="{cls}" d="M {off + t.a * UNIT} {base} '
-            f'A {r} {r} 0 0 1 {off + t.b * UNIT} {base}"/>'
+            f'<path class="{cls}" d="M {off + a * UNIT} {base} '
+            f'A {r} {r} 0 0 1 {off + b * UNIT} {base}"/>'
         )
-    for t in infinite:
-        cls = "ray crossing" if t in crossing else "ray"
-        xm = off + t.m * UNIT
+    for m in rays:
+        cls = "ray crossing" if m in crossing else "ray"
+        xm = off + m * UNIT
         parts.append(
             f'<line class="{cls}" x1="{xm}" y1="{base}" '
             f'x2="{xm}" y2="{MARGIN // 2}"/>'
@@ -81,12 +75,13 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def _crossing_arcs(finite: list[FiniteArc], infinite: list[InfiniteArc]) -> set:
-    """The arcs that cross at least one other arc, from one crossing index
-    over all of them, in O(n log n); a ray at m is the arc (m, inf)."""
-    ends = [(t.a, t.b) for t in finite] + [(t.m, float("inf")) for t in infinite]
-    _, crosses = _crossing_index(ends)
-    return {t for t, (a, b) in zip(finite + infinite, ends) if crosses(a, b)}
+def _crossing_arcs(pairs: list[tuple[int, int]], rays: list[int]) -> set:
+    """The endpoint pairs (a, b) and ray ends m of the arcs that cross at
+    least one other arc, from one crossing index over all of them, in
+    O(n log n); a ray at m is the arc (m, inf)."""
+    inf = float("inf")
+    _, crosses = _crossing_index(pairs + [(m, inf) for m in rays])
+    return {(a, b) for a, b in pairs if crosses(a, b)} | {m for m in rays if crosses(m, inf)}
 
 
 def render_to_file(

@@ -33,6 +33,7 @@ from infgon import (
     Verdict,
     WindowVerified,
     Zigzag,
+    approximation_report,
     arc_to_object,
     arcs_cross,
     classify,
@@ -685,6 +686,26 @@ class TestBoundedWork:
             FiniteArc(0, 6),
         ]
 
+    def test_render_and_approximation_build_no_arc_per_member(self, monkeypatch):
+        built = []
+        init = FiniteArc.__init__
+
+        def counted(self, a, b):
+            built.append((a, b))
+            init(self, a, b)
+
+        c, window = cfg(Fan(0), inf=[0]), (-200, 200)
+        objects = [arc_to_object(FiniteArc(5, 8)), PruferInd(-1), PruferInd(3)]
+        monkeypatch.setattr(FiniteArc, "__init__", counted)
+        assert diagram.render_svg(c, window).count("<path ") == 398
+        assert diagram.render_svg(c, window, True).count("<path ") == 398
+        assert built == []
+        for d in objects:
+            built.clear()
+            r = approximation_report(c, d, window)
+            # the reported members, the target and the arc of d
+            assert len(built) <= len(r.handled) + len(r.exceptions) + 4, d
+
     def test_no_arc_sort_key_on_family_configurations(self, monkeypatch):
         def no_key(arc):
             raise AssertionError(f"arc_sort_key called on {arc}")
@@ -901,6 +922,37 @@ class TestStrongOverarc:
         assert strong_overarc(z, FiniteArc(-70000, 70000)) == FiniteArc(-70001, 70001)
         assert strong_overarc(cfg(Zigzag(5)), 10**9) == FiniteArc(9 - 10**9, 10**9 + 1)
 
+    @given(
+        st.integers(-(10**9), 10**9),
+        st.one_of(
+            st.integers(-3, 3),
+            st.integers(-(10**9), 10**9),
+            st.tuples(st.integers(1, 10**9), st.booleans()),
+        ),
+    )
+    def test_closed_form_at_any_coordinates(self, c, pick):
+        # a point c + pick, or the member (c - n - odd, c + n)
+        zig = Zigzag(c)
+        if isinstance(pick, tuple):
+            n, odd = pick
+            target = FiniteArc(c - n - odd, c + n)
+            p, q = target.a, target.b
+        else:
+            target = p = q = c + pick
+        over = strong_overarc(cfg(zig), target)
+        assert configurations._family_member(zig, over)
+        assert over.a < p and q < over.b
+        # the members form one nested chain, so no smaller member encloses
+        # the target once the next smaller one does not
+        if over.span > 2:
+            (below,) = configurations._members_of_span(zig, over.span - 1)
+            assert not (below.a < p and q < below.b)
+
+    @pytest.mark.parametrize("target", [2.5, True, "3", None])
+    def test_rejects_a_target_that_is_no_arc_or_int(self, target):
+        with pytest.raises(TypeError, match="strong_overarc .* target is"):
+            strong_overarc(cfg(Zigzag(0)), target)
+
     @pytest.mark.parametrize("c", range(-3, 4))
     def test_least_enclosing_member_of_a_window(self, c):
         # brute force: the least enclosing arc of a wide materialization
@@ -927,6 +979,19 @@ class TestOverarcAntichain:
     def test_rejects_non_locally_finite(self):
         with pytest.raises(ValueError):
             overarc_antichain(cfg(Fan(0), inf=[0]), FiniteArc(0, 2), 1)
+
+    @pytest.mark.parametrize(
+        "seed,count,name",
+        [
+            (3, 2, "seed is int"),
+            (None, 2, "seed is NoneType"),
+            (FiniteArc(-1, 1), 2.0, "count is float"),
+            (FiniteArc(-1, 1), True, "count is bool"),
+        ],
+    )
+    def test_rejects_argument_types_by_name(self, seed, count, name):
+        with pytest.raises(TypeError, match=f"overarc_antichain .* {name}"):
+            overarc_antichain(cfg(Zigzag(0)), seed, count)
 
     def test_long_chain_is_an_antichain_with_common_target(self):
         seed = FiniteArc(-1, 1)

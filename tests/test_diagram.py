@@ -22,13 +22,15 @@ from infgon import (
 from infgon import diagram
 
 
-def pairwise_crossing(finite, infinite):
-    arcs = finite + infinite
+def pairwise_crossing(pairs, slots):
+    # keyed as _crossing_arcs answers: (a, b) for a finite arc, m for a ray
+    keys = [*pairs, *slots]
+    arcs = [FiniteArc(a, b) for a, b in pairs] + [InfiniteArc(m) for m in slots]
     out = set()
     for i, t1 in enumerate(arcs):
-        for t2 in arcs[i + 1 :]:
+        for k, t2 in enumerate(arcs[i + 1 :], i + 1):
             if arcs_cross(t1, t2) is CrossResult.CROSS:
-                out |= {t1, t2}
+                out |= {keys[i], keys[k]}
     return out
 
 
@@ -41,10 +43,8 @@ rays = st.builds(InfiniteArc, st.integers(-10, 10))
 
 @given(st.sets(finite_arcs, max_size=30), st.sets(rays, max_size=4))
 def test_crossing_arcs_match_pairwise(finite, infinite):
-    finite, infinite = sorted(finite, key=repr), sorted(infinite, key=repr)
-    assert diagram._crossing_arcs(finite, infinite) == pairwise_crossing(
-        finite, infinite
-    )
+    pairs, slots = sorted((t.a, t.b) for t in finite), sorted(t.m for t in infinite)
+    assert diagram._crossing_arcs(pairs, slots) == pairwise_crossing(pairs, slots)
 
 
 @pytest.mark.parametrize(

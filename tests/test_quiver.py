@@ -371,6 +371,19 @@ class TestHomProperties:
         assert hom_dim(e, e).value == 1
         assert hom_dim(e, shift_object(e, 2)).value == 0
 
+    def test_limit_pairs_pinned_on_slots(self):
+        # for two limit objects, Ext(P_m, P_n) = 1 exactly when n < m, and
+        # Hom(P_m, P_n) = Hom(P_n, S^2 P_m) only at n = m + 1: 20 of 441
+        slots = range(-10, 11)
+        dual = []
+        for m in slots:
+            for n in slots:
+                e, f = PruferInd(m), PruferInd(n)
+                assert ext_dim(e, f).value == int(n < m), (m, n)
+                if hom_dim(e, f).value == hom_dim(f, shift_object(e, 2)).value:
+                    dual.append((m, n))
+        assert dual == [(m, m + 1) for m in range(-10, 10)]
+
     @given(finite_objects, finite_objects)
     def test_ext_symmetry_between_finite_objects(self, a, b):
         # 2-periodic Serre duality makes first extensions symmetric
