@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from functools import partial
+from itertools import accumulate, groupby
 from typing import Callable
 
 from .arcs import (
@@ -114,6 +115,13 @@ def suite_serre_duality() -> tuple[bool, int, str]:
     return True, n, "hom(a,b) against hom(b, double shift of a)"
 
 
+def _edge_stages(dims: tuple[int, ...]) -> list[int]:
+    # The stages on either side of each change in dims (at most four: a
+    # tower row is one run of ones), or stage 0 when dims are constant.
+    starts = list(accumulate(len(list(run)) for _, run in groupby(dims)))[:-1]
+    return sorted({s for k in starts for s in (k - 1, k)}) or [0]
+
+
 def suite_tower_colim_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
     objs = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
     n = 0
@@ -124,11 +132,15 @@ def suite_tower_colim_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
                 got = truncated_colim(tower).value
             except TowerUnstableError as exc:
                 return False, n, f"unstable tower at {y}, slot {slot}: {exc}"
+            for k in _edge_stages(tower.dims):
+                if tower.dims[k] != hom_dim(y, FiniteInd(slot - k, k)).value:
+                    return False, n, f"dim mismatch at {y}, slot {slot}, stage {k}"
+                n += 1
             want = hom_dim(y, PruferInd(slot)).value
             if got != want:
                 return False, n, f"colim mismatch at {y}, slot {slot}"
             n += 1
-    return True, n, f"truncated colimits against the wedge formula, N={truncation}"
+    return True, n, f"colimits against the wedge formula, dims against hom_dim, N={truncation}"
 
 
 def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
@@ -141,11 +153,15 @@ def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
                 got = truncated_lim(tower).value
             except TowerUnstableError as exc:
                 return False, n, f"unstable tower at {y}, slot {slot}: {exc}"
+            for k in _edge_stages(tower.dims):
+                if tower.dims[k] != hom_dim(FiniteInd(slot - k, k), y).value:
+                    return False, n, f"dim mismatch at {y}, slot {slot}, stage {k}"
+                n += 1
             want = 1 if wedge_contains(slot + 2, y) else 0
             if got != want:
                 return False, n, f"lim mismatch at {y}, slot {slot}"
             n += 1
-    return True, n, f"truncated limits against wedge membership, N={truncation}"
+    return True, n, f"limits against wedge membership, dims against hom_dim, N={truncation}"
 
 
 def suite_prufer_prufer_tower(truncation: int = 30) -> tuple[bool, int, str]:

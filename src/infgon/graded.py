@@ -22,20 +22,21 @@ is finite dimensional (0 or 1 here), the derived-limit obstruction for
 inverse towers vanishes; truncated_lim asserts this by checking the tail
 transitions are isomorphisms whenever the answer is 1.
 
-Every tower is built from region rows of the integer hom kernel, each
-computed once: one kernel call per (probe, stage) pair gives both the
-0/1 dimension and the plus-region test, and one call per slice step
-gives the irreducible stage_k -> stage_{k+1}, whatever the probe.  A
-transition flag reads the composite criterion off these rows, so it
-only sits between two nonzero stages.  A direct tower is one probe row
-and one step row, 2N + 1 kernel calls at truncation N.  So is an
-inverse tower: by Serre duality its probe is the twice downshifted
-target, and that one dual row gives both its dims and its flags.  The
-nested tower reads each inner row only over its settling tail.
+Every tower is built from runs of the integer hom kernel: along a
+slice the left end of the stage arc is fixed, so the nonzero stages of
+a row form one run in one region, which one call of quiver._region_run
+gives.  Every slice step lies in the plus region (the tests pin this
+theorem), so a transition flag, the composite criterion, is set where
+the row is plus at both ends.  A direct tower is one kernel call at any
+truncation.  So is an inverse tower: by Serre duality its probe is the
+twice downshifted target, and that one dual row gives both its dims
+and its flags.  The nested tower makes one call per outer stage, over
+the settling tail of its inner tower.
 """
 from __future__ import annotations
 
 from enum import Enum
+from itertools import groupby
 from math import ceil
 from typing import Sequence, Union
 
@@ -45,7 +46,7 @@ from .quiver import (
     _Value,
     _arc,
     _finite_arc,
-    _region,
+    _region_run,
     _set,
 )
 
@@ -197,53 +198,34 @@ def _check_ints(func: str, **args: object) -> None:
             raise TypeError(f"{func} takes an int {name}, {name} is {type(x).__name__}")
 
 
-def _tower(
-    dims: tuple[int, ...], flags: tuple[bool, ...], direction: TowerDirection
-) -> HomTower:
-    # The kernel path: dims are 0/1 and a flag is set only between two
-    # nonzero stages by construction, so the checks of
-    # HomTower.__init__ are skipped.
-    tower = object.__new__(HomTower)
-    _set(tower, "dims", dims)
-    _set(tower, "transition_nonzero", flags)
-    _set(tower, "direction", direction)
-    return tower
-
-
-def _slice_arcs(slice_start: int, truncation: int) -> list[tuple[int, int]]:
-    # Stage k of the slice based at slice_start is the object with shift
-    # slice_start - k and index k; its arc is (-slice_start - 2, k - slice_start).
-    return [_arc(slice_start - k, k) for k in range(truncation + 1)]
-
-
-def _step_row(stages: list[tuple[int, int]]) -> list[bool]:
-    # Whether each irreducible stage_k -> stage_{k+1} lies in the plus
-    # region: one kernel call per slice step, whatever the probe.
-    return [_region(i, j, m, n) == "plus" for (i, j), (m, n) in zip(stages, stages[1:])]
-
-
 def _row(
-    y: tuple[int, int], stages: list[tuple[int, int]], step: list[bool]
+    y: tuple[int, int], m: int, n: int, count: int
 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    # Dims and flags of Hom(y, stage_k) from one kernel call per stage.
-    # Flag k is the TRUE criterion of composite_nonzero for
-    # y -> stage_k -> stage_{k+1}: both stages in the plus region of y,
-    # and the step in the plus region of stage_k.  A plus region is a
-    # nonzero hom, so a flag only sits between two nonzero stages.
-    i, j = y
-    row = [_region(i, j, m, n) for m, n in stages]
-    plus = [r == "plus" for r in row]
-    dims = tuple([0 if r is None else 1 for r in row])
-    return dims, tuple([a and s and b for a, s, b in zip(plus, step, plus[1:])])
+    # Dims and flags of Hom(y, stage_k) for the count stages with arcs
+    # (m, n + k).  Flag k is the TRUE criterion of composite_nonzero for
+    # y -> stage_k -> stage_{k+1}, whose step is plus: the row is plus
+    # at k and at k + 1.
+    region, lo, hi = _region_run(*y, m, n, count)
+    if lo > hi:
+        return (0,) * count, (False,) * (count - 1)
+    # a plus run reaches the last stage
+    true = hi - lo if region == "plus" else 0
+    dims = (0,) * lo + (1,) * (hi - lo + 1) + (0,) * (count - 1 - hi)
+    return dims, (False,) * (count - 1 - true) + (True,) * true
 
 
 def _slice_tower(
     y: tuple[int, int], slice_start: int, truncation: int, direction: TowerDirection
 ) -> HomTower:
-    # Hom(y, -) along the slice, as a tower of the given direction:
-    # 2N + 1 kernel calls at truncation N.
-    stages = _slice_arcs(slice_start, truncation)
-    return _tower(*_row(y, stages, _step_row(stages)), direction)
+    # Hom(y, -) along the slice, whose stage k has the arc
+    # (-slice_start - 2, k - slice_start).  Dims are 0/1 and flags sit
+    # between nonzero stages by construction: HomTower's checks are skipped.
+    dims, flags = _row(y, *_arc(slice_start, 0), truncation + 1)
+    tower = object.__new__(HomTower)
+    _set(tower, "dims", dims)
+    _set(tower, "transition_nonzero", flags)
+    _set(tower, "direction", direction)
+    return tower
 
 
 def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower:
@@ -293,21 +275,18 @@ def _quarter(truncation: int) -> int:
     return max(1, ceil(truncation / 4))
 
 
+def _run_start(seq: Sequence) -> int:
+    # Index where the trailing run of entries equal to seq[-1] starts.
+    return len(seq) - len(list(next(groupby(reversed(seq)))[1]))
+
+
 def _stable_split(dims: Sequence[int], flags: Sequence[bool]) -> int:
     # First index from which dims and flags both sit at their final
     # constant values; raises if the settled tail is shorter than a
     # quarter of the truncation.
-    n = len(dims) - 1
-    quarter = _quarter(n)
-    sd = n
-    while sd > 0 and dims[sd - 1] == dims[-1]:
-        sd -= 1
-    sf = 0
-    if flags:
-        sf = len(flags) - 1
-        while sf > 0 and flags[sf - 1] == flags[-1]:
-            sf -= 1
-    stable_from = max(sd, sf)
+    quarter = _quarter(len(dims) - 1)
+    sd = _run_start(dims)
+    sf = _run_start(flags) if flags else 0
     # The last `quarter` entries and the last `quarter` flags must all
     # lie in the settled run.
     if sd > len(dims) - quarter or (flags and sf > len(flags) - quarter):
@@ -315,7 +294,7 @@ def _stable_split(dims: Sequence[int], flags: Sequence[bool]) -> int:
             f"tower tail not settled: needs {quarter} constant trailing "
             f"entries and flags, settled only from entry {sd}, flag {sf}"
         )
-    return stable_from
+    return max(sd, sf)
 
 
 def _tail_value(dims: Sequence[int], flags: Sequence[bool]) -> int:
@@ -367,22 +346,20 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     The outer layer is an inverse tower over the slice presenting slot
     m; its stage j value is the truncated colimit of the direct tower of
     Hom(stage_j, -) along the slice presenting slot n.  Outer transition
-    flag j is set when both inner colimits j and j+1 are 1 and the outer
-    step stage_j -> stage_{j+1} lies in the plus region.  Inner towers
-    run to twice the requested truncation so that they stay stable for
-    outer stages near the end.
+    flag j is set when both inner colimits j and j+1 are 1: the outer
+    step stage_j -> stage_{j+1} always lies in the plus region.  Inner
+    towers run to twice the requested truncation so that they stay
+    stable for outer stages near the end.
 
     An inner tower's settlement and value depend only on its last q =
-    ceil(truncation / 2) dims and flags, so each outer stage reads the
-    kernel only over the last q + 1 inner stages, and the inner step row
-    only over the same tail: (N + 1)(q + 1) + q + N kernel calls at
-    truncation N, against (N + 1)(2N + 1) + 3N for the full rows.  An
-    inner tower whose tail is not constant is rebuilt in full so that it
-    raises exactly as truncated_colim would.  The caller must pick the
-    truncation large enough relative to |m - n|: TowerUnstableError is
-    raised when m - n > truncation - ceil(truncation / 4), and
-    propagates from any tower that does not settle.  Raises TypeError
-    when an argument is not an int.
+    ceil(truncation / 2) dims and flags, so each outer stage makes one
+    kernel call, over the last q + 1 inner stages: N + 1 calls at
+    truncation N.  An inner tower whose tail is not constant is rebuilt
+    in full, one more call, so that it raises exactly as truncated_colim
+    would.  The caller must pick the truncation large enough relative to
+    |m - n|: TowerUnstableError is raised when m - n > truncation -
+    ceil(truncation / 4), and propagates from any tower that does not
+    settle.  Raises TypeError when an argument is not an int.
     """
     _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
     if truncation < 4:
@@ -396,28 +373,24 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
             f"truncation {truncation} is too short for slots {m} and {n}: "
             f"the nested tower settles only for m - n <= {longest_gap}"
         )
-    stages = _slice_arcs(m, truncation)
-    targets = _slice_arcs(n, 2 * truncation)
     # _stable_split of an inner tower raises exactly when its last
     # `quarter` dims or its last `quarter` flags are not all equal, and
     # _tail_value reads the last of each; flag k needs rows k and k + 1.
     quarter = _quarter(2 * truncation)
-    tail = targets[-quarter - 1 :]
-    tail_step = _step_row(tail)
+    start = 2 * truncation - quarter
+    tail = _arc(n - start, start)
     dims = []
-    for y in stages:
-        inner_dims, inner_flags = _row(y, tail, tail_step)
+    for j in range(truncation + 1):
+        y = _arc(m - j, j)
+        inner_dims, inner_flags = _row(y, *tail, quarter + 1)
         if len(set(inner_dims[1:])) > 1 or len(set(inner_flags)) > 1:
             # Not settled: the full inner tower raises with its own split.
-            _stable_split(*_row(y, targets, _step_row(targets)))
+            _stable_split(*_row(y, *_arc(n, 0), 2 * truncation + 1))
         dims.append(_tail_value(inner_dims, inner_flags))
-    # The ladder of composites stage_j -> stage_{j+1} -> inner stage over
-    # the settled part of both inner towers cannot turn a flag off, so it
-    # is not read.  A flag is only tested when both inner colimits are 1;
-    # a colimit of 1 needs the inner flags True over the settled tail, and
-    # an inner flag is True only when its row is plus at both ends, so
-    # rows j and j+1 are plus wherever the ladder would read them.
-    step = _step_row(stages)
-    flags = [dims[j] == 1 and dims[j + 1] == 1 and step[j] for j in range(truncation)]
+    # Every outer step lies in the plus region, and the ladder of
+    # composites stage_j -> stage_{j+1} -> inner stage cannot turn a flag
+    # off: two inner colimits of 1 need rows j and j + 1 plus at both
+    # ends of every settled inner flag, wherever the ladder would read.
+    flags = [a == 1 and b == 1 for a, b in zip(dims, dims[1:])]
     _stable_split(dims, flags)
     return _tail_value(dims, flags)

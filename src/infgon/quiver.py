@@ -23,16 +23,16 @@ regions of the hom hammock:
 The regions are disjoint.  Ext(a, b) is Hom(a, Sigma b), so the kernel
 reads b one shift up; the plus region also carries the sufficient
 criterion of composite_nonzero.  The truncated towers in `graded` call
-the kernel on plain ints.
+its row form _region_run, which tests/test_quiver.py::TestRegionRun
+pins to _region.
 
 hom_dim and ext_dim answer on one flat path per pair of kinds: the arc
-endpoints are read inline, the kernel _region (the only place the
-region inequalities appear) is called once with four ints, or a wedge
-or slot comparison decides for a limit object, and HomDim and its
-HomWitness are built in place, without the checks of their public
-constructors.  arcs.ext_via_crossing builds its records the same way.
-_hom_ends states the same four rules on arc endpoints alone, for callers
-that hold arcs and need no witness.
+endpoints are read inline, the kernel _region is called once with four
+ints, or a wedge or slot comparison decides for a limit object, and
+HomDim and its HomWitness are built in place, without the checks of
+their public constructors.  arcs.ext_via_crossing builds its records
+the same way.  _hom_ends states the same four rules on arc endpoints
+alone, for callers that hold arcs and need no witness.
 """
 from __future__ import annotations
 
@@ -310,6 +310,17 @@ def _region(i: int, j: int, m: int, n: int) -> Optional[str]:
     if i <= m <= j - 2 and n >= j:
         return "plus"
     return None
+
+
+def _region_run(i: int, j: int, m: int, n: int, count: int) -> tuple[Optional[str], int, int]:
+    """The kernel along a row, in closed form: the stages k in
+    range(count) with _region(i, j, m, n + k) not None are lo..hi, all
+    in region; lo > hi when there are none.  m fixes the region."""
+    if m <= i - 2:
+        return "minus", max(i - n, 0), min(j - 2 - n, count - 1)
+    if i <= m <= j - 2:
+        return "plus", max(j - n, 0), count - 1
+    return None, 0, -1
 
 
 def _hom_ends(i: int, j: Optional[int], m: int, n: Optional[int]) -> bool:

@@ -129,6 +129,33 @@ class TestHomTowerValidation:
             HomTower((1, 0), (True,), TowerDirection.DIRECT)
 
 
+def _run_start_by_loop(seq):
+    """Where the trailing run equal to seq[-1] starts, by the loop
+    _stable_split used to run: walk back while entries equal the last."""
+    start = len(seq) - 1
+    while start > 0 and seq[start - 1] == seq[-1]:
+        start -= 1
+    return start
+
+
+def _with_tail(entry):
+    # any prefix, then a run of one entry, so long trailing runs occur
+    return st.tuples(st.lists(entry, max_size=20), entry, st.integers(1, 20)).map(
+        lambda t: tuple(t[0] + [t[1]] * t[2])
+    )
+
+
+class TestSettledTail:
+    @given(_with_tail(st.integers(0, 1)))
+    def test_dims_run_start_matches_loop(self, dims):
+        assert graded._run_start(dims) == _run_start_by_loop(dims)
+
+    @given(_with_tail(st.one_of(st.booleans(), st.integers(-2, 2))))
+    def test_flags_run_start_matches_loop(self, flags):
+        # the public HomTower takes any flag objects: bools, ints, mixed
+        assert graded._run_start(flags) == _run_start_by_loop(flags)
+
+
 class TestDirectTowers:
     def test_slice_base_tower(self):
         t = build_hom_tower(FiniteInd(0, 0), 0, 4)
@@ -285,29 +312,27 @@ class TestPruferPruferTower:
         )
 
     @pytest.mark.parametrize("gap,raises", [(6, False), (-60, True)])
-    def test_kernel_reads_bounded_by_tail(self, region_calls, gap, raises):
-        # N = 60: the full rows cost (N + 1)(2N + 1) + 3N = 7561 reads
-        truncation, quarter = 60, 30
-        tail_reads = (truncation + 1) * (quarter + 1) + quarter + truncation
+    def test_kernel_reads_bounded_by_tail(self, run_calls, gap, raises):
+        # N = 60: one kernel run per outer stage, over its inner tail
+        truncation = 60
         got = _value_or_error(prufer_prufer_tower, gap, 0, truncation)
-        reads = len(region_calls)
+        reads = len(run_calls)
         assert got == _value_or_error(nested_by_full_rows, gap, 0, truncation)
         assert isinstance(got, tuple) == raises
         # a tail that has not settled rebuilds one full inner row to raise
-        full_row = (2 * truncation + 1) + 2 * truncation
-        assert reads <= tail_reads + (full_row if raises else 0)
+        assert reads <= truncation + 1 + (1 if raises else 0)
 
 
 @pytest.fixture
-def region_calls(monkeypatch):
-    """The arguments of every kernel call graded makes, in order."""
-    calls, region = [], graded._region
+def run_calls(monkeypatch):
+    """The arguments of every kernel run graded reads, in order."""
+    calls, region_run = [], graded._region_run
 
-    def counting_region(*args):
+    def counting_run(*args):
         calls.append(args)
-        return region(*args)
+        return region_run(*args)
 
-    monkeypatch.setattr(graded, "_region", counting_region)
+    monkeypatch.setattr(graded, "_region_run", counting_run)
     return calls
 
 
@@ -367,15 +392,15 @@ def nested_by_public_towers(m, n, truncation):
 
 
 class TestOneRowPerTower:
-    """A direct or inverse tower reads one probe row and one step row,
-    and the inverse tower's probe row is its Serre-dual row."""
+    """A direct or inverse tower reads one kernel run, and the inverse
+    tower's run is its Serre-dual row."""
 
     @pytest.mark.parametrize("build", [build_hom_tower, build_inverse_hom_tower])
     @pytest.mark.parametrize("y", [FiniteInd(0, 0), FiniteInd(-3, 4), FiniteInd(-70, 2)])
-    def test_kernel_reads(self, region_calls, build, y):
-        # N = 60: the inverse tower used to read a second row, 3N + 2 = 182
+    def test_kernel_reads(self, run_calls, build, y):
+        # N = 60: one run per row, whatever the truncation
         build(y, 1, 60)
-        assert len(region_calls) == 2 * 60 + 1
+        assert len(run_calls) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(

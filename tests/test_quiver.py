@@ -32,7 +32,7 @@ from infgon import (
     arcs_cross,
     wedge_contains,
 )
-from infgon.quiver import _hom_ends, _region
+from infgon.quiver import _arc, _hom_ends, _region, _region_run
 
 
 def h_region_set(center, part, m_lo, m_hi, n_lo, n_hi):
@@ -469,6 +469,49 @@ class TestEndpointRules:
                 kinds[key] = kinds.get(key, 0) + got
         # all four pairs of kinds occur, each with nonzero homs
         assert len(kinds) == 4 and all(kinds.values())
+
+
+def _assert_run_of_row(i, j, m, n, row):
+    # _region_run over len(row) stages against the kernel called stage by
+    # stage: the nonzero stages are exactly lo..hi, all in its region
+    region, lo, hi = _region_run(i, j, m, n, len(row))
+    assert [k for k, r in enumerate(row) if r is not None] == list(range(lo, hi + 1))
+    assert all(row[k] == region for k in range(lo, hi + 1))
+
+
+_near = st.one_of(st.integers(-310, 310), st.integers(-(10**9), 10**9))
+
+
+class TestRegionRun:
+    # the towers call _region_run once per row where they used to call
+    # _region once per stage; these pin the two against each other
+
+    def test_every_row_in_a_window(self):
+        span = range(-8, 9)
+        runs = set()
+        for i in span:
+            for j in span:
+                for m in span:
+                    for n in span:
+                        row = [_region(i, j, m, n + k) for k in range(12)]
+                        for count in range(13):
+                            _assert_run_of_row(i, j, m, n, row[:count])
+                        runs.add(_region_run(i, j, m, n, 12)[0])
+        assert runs == {"minus", "plus", None}
+
+    @given(st.integers(-(10**9), 10**9), _near, _near, _near, _near, st.integers(0, 300))
+    @settings(max_examples=300)
+    def test_far_rows(self, base, di, dj, dm, dn, count):
+        i, j, m, n = base + di, base + dj, base + dm, base + dn
+        _assert_run_of_row(i, j, m, n, [_region(i, j, m, n + k) for k in range(count)])
+
+    @given(st.integers(-(10**9), 10**9), st.one_of(st.integers(0, 50), st.integers(0, 10**9)))
+    @settings(max_examples=300)
+    def test_every_slice_step_is_plus(self, s, k):
+        # the irreducible stage_k -> stage_{k+1} of the slice based at s:
+        # the theorem behind every tower flag, which the towers no longer
+        # re-check
+        assert _region(*_arc(s - k, k), *_arc(s - k - 1, k + 1)) == "plus"
 
 
 class TestCompositeNonzero:
