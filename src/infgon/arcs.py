@@ -56,14 +56,6 @@ class FiniteArc(_Value):
         _set(self, "a", a)
         _set(self, "b", b)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
     @property
     def span(self) -> int:
         return self.b - self.a
@@ -76,14 +68,6 @@ class InfiniteArc(_Value):
 
     def __init__(self, m: int) -> None:
         _set(self, "m", m)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.m == other.m
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.m,))
 
 
 Arc = Union[FiniteArc, InfiniteArc]

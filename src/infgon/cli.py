@@ -29,11 +29,16 @@ from .arcs import (
 from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, ext_dim, hom_dim
 
 SCHEMA = "infgon/1"
-# The tower truncations `check` accepts.  The nested tower suite needs
-# at least 4, and grows with the square of its truncation: at 240 the
-# three tower suites take about 5 s on a 2-core host, 1.7 s of it in the
-# nested one.
-MIN_TRUNCATION = 4
+# The tower truncations `check` accepts.  A truncated tower reads its
+# limit exactly when the wedge parameter j of the object it probes is
+# at most N - ceil(N/4) (see graded.build_hom_tower), and the inverse
+# tower suite probes up to j = 8 + 2 + 15 = 25: its slots reach 8, its
+# probe sits two up, and its objects reach shift -15.  34 is the least N
+# with N - ceil(N/4) >= 25; the other two tower suites pass from there
+# too.  The nested tower suite grows with the square of its truncation:
+# at 240 the three tower suites take about 0.6 s on a 2-core host,
+# 0.2 s of it in the nested one.
+MIN_TRUNCATION = 34
 MAX_TRUNCATION = 240
 # The widest window `render` draws, and `witness approximation` reports
 # on.  Their time and output grow with the window's width, not with the

@@ -31,7 +31,8 @@ the row is plus at both ends.  A direct tower is one kernel call at any
 truncation.  So is an inverse tower: by Serre duality its probe is the
 twice downshifted target, and that one dual row gives both its dims
 and its flags.  The nested tower makes one call per outer stage, over
-the settling tail of its inner tower.
+the settling tail of its inner tower; its gap guard is the outer
+tower's settledness rule, so its value is read off its last two dims.
 """
 from __future__ import annotations
 
@@ -235,8 +236,16 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     Transition flags use the composite criterion: the stage map sends a
     nonzero y -> stage_i to its composite with the irreducible
     stage_i -> stage_{i+1}, so the flag is set exactly when that
-    composite is certified nonzero.  Raises TypeError when y is not a
-    FiniteInd or slice_start or truncation is not an int.
+    composite is certified nonzero.
+
+    truncated_colim of the tower equals hom_dim(y, PruferInd(slice_start))
+    whenever j = slice_start - y.shift, the wedge parameter of that
+    witness, is at most truncation - max(1, ceil(truncation / 4)).  Past
+    that bound the row may change after the last stage, and the read may
+    raise or settle on a wrong value: at truncation 4 the tower of
+    FiniteInd(4, 9) at slot 8 (j = 4) reads 0 where hom_dim is 1.
+    Raises TypeError when y is not a FiniteInd or slice_start or
+    truncation is not an int.
     """
     _check_ints("build_hom_tower", slice_start=slice_start, truncation=truncation)
     if truncation < 0:
@@ -257,8 +266,14 @@ def build_inverse_hom_tower(
     linear map is nonzero exactly when its transpose is.  So the inverse
     tower is the direct tower of the twice downshifted target read in
     the inverse direction: its dims and its flags both come from that
-    one dual row.  Raises TypeError when target is not a FiniteInd or
-    slice_start or truncation is not an int.
+    one dual row.
+
+    truncated_lim of the tower is 1 exactly when target lies in the
+    wedge at base slice_start + 2, whenever j = slice_start + 2 -
+    target.shift, the wedge parameter, is at most truncation - max(1,
+    ceil(truncation / 4)); past that bound the read may raise or settle
+    on a wrong value, as for build_hom_tower.  Raises TypeError when
+    target is not a FiniteInd or slice_start or truncation is not an int.
     """
     _check_ints(
         "build_inverse_hom_tower", slice_start=slice_start, truncation=truncation
@@ -356,10 +371,17 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     kernel call, over the last q + 1 inner stages: N + 1 calls at
     truncation N.  An inner tower whose tail is not constant is rebuilt
     in full, one more call, so that it raises exactly as truncated_colim
-    would.  The caller must pick the truncation large enough relative to
-    |m - n|: TowerUnstableError is raised when m - n > truncation -
-    ceil(truncation / 4), and propagates from any tower that does not
-    settle.  Raises TypeError when an argument is not an int.
+    would.
+
+    The gap guard is the outer tower's settledness rule.  When n <= m
+    the outer dims are 0 before stage m - n and 1 from there on; when
+    n > m they are all 0, or an inner tower has already raised.  So the
+    outer dims and flags both settle from stage max(m - n, 0), and they
+    hold a final quarter exactly when m - n <= truncation -
+    ceil(truncation / 4).  TowerUnstableError is raised past that gap,
+    and propagates from any inner tower that does not settle; the
+    caller picks the truncation large enough relative to |m - n|.
+    Raises TypeError when an argument is not an int.
     """
     _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
     if truncation < 4:
@@ -391,6 +413,6 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     # composites stage_j -> stage_{j+1} -> inner stage cannot turn a flag
     # off: two inner colimits of 1 need rows j and j + 1 plus at both
     # ends of every settled inner flag, wherever the ladder would read.
-    flags = [a == 1 and b == 1 for a, b in zip(dims, dims[1:])]
-    _stable_split(dims, flags)
-    return _tail_value(dims, flags)
+    # So the last outer flag is set when the last two dims are 1, and
+    # the tower's value is that flag.
+    return 1 if dims[-2] == dims[-1] == 1 else 0

@@ -106,12 +106,11 @@ class _Value:
     repr reads Type(field=value, ...), an instance equals only an
     instance of its own type with equal fields and hashes like its field
     tuple, so set and dict orders stay those of that tuple, and copies
-    and pickles call the constructor on it.  The classes compared or
-    hashed in hot loops override __eq__ and __hash__ with straight-line
-    versions of the same.  A subclass may also list private slots in
-    __slots__ but not in __match_args__: values its __init__ derives
-    from the fields.  They are not fields, so none of the above reads
-    them, and the constructor derives them again on copy and unpickle.
+    and pickles call the constructor on it.  No subclass overrides any
+    of these.  A subclass may also list private slots in __slots__ but
+    not in __match_args__: values its __init__ derives from the fields.
+    They are not fields, so none of the above reads them, and the
+    constructor derives them again on copy and unpickle.
     """
 
     __slots__ = ()
@@ -164,14 +163,6 @@ class FiniteInd(_Value):
         _set(self, "shift", shift)
         _set(self, "index", index)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.shift == other.shift and self.index == other.index
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shift, self.index))
-
 
 class PruferInd(_Value):
     """The limit object attached to integer slot `slot`.  Shifting by t
@@ -181,14 +172,6 @@ class PruferInd(_Value):
 
     def __init__(self, slot: int) -> None:
         _set(self, "slot", slot)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.slot == other.slot
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.slot,))
 
 
 IndObject = Union[FiniteInd, PruferInd]
@@ -256,12 +239,6 @@ class Tristate(Enum):
     TRUE = "true"
     FALSE = "false"
     INDETERMINATE = "indeterminate"
-
-
-# Members read in hot paths: through the class each read costs a
-# descriptor lookup that a module global does not.
-_MINUS, _PLUS, _EITHER = RegionPart.MINUS, RegionPart.PLUS, RegionPart.EITHER
-_TRUE, _FALSE, _INDETERMINATE = Tristate.TRUE, Tristate.FALSE, Tristate.INDETERMINATE
 
 
 def _not_finite(func: str, name: str, x: object) -> TypeError:
@@ -355,11 +332,11 @@ def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bo
     i, j = _finite_arc("h_region_contains", "center", center)
     m, n = _finite_arc("h_region_contains", "obj", obj)
     region = _region(i + 1, j + 1, m, n)
-    if part is _PLUS:
+    if part is RegionPart.PLUS:
         return region == "plus"
-    if part is _MINUS:
+    if part is RegionPart.MINUS:
         return region == "minus"
-    if part is _EITHER:
+    if part is RegionPart.EITHER:
         return region is not None
     raise TypeError(
         f"h_region_contains takes a RegionPart part, part is {type(part).__name__}"
@@ -443,7 +420,7 @@ def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:
         raise ValueError("composite_nonzero requires Hom(v, w) nonzero")
     uw = _region(ui, uj, wi, wj)
     if uv == "plus" and vw == "plus" and uw == "plus":
-        return _TRUE
+        return Tristate.TRUE
     if uw is None:
-        return _FALSE
-    return _INDETERMINATE
+        return Tristate.FALSE
+    return Tristate.INDETERMINATE

@@ -583,10 +583,10 @@ class TestCheckTruncation:
         monkeypatch.setattr(
             acceptance, "ALL_SUITES", [("tower-colim-vs-wedge", tower_suite)]
         )
-        rc, out, _ = run_cli(capsys, "check", "--truncation", "7")
+        rc, out, _ = run_cli(capsys, "check", "--truncation", "40")
         assert rc == 0
-        assert calls["truncation"] == 7
-        assert "N=7" in out
+        assert calls["truncation"] == 40
+        assert "N=40" in out
 
     def test_default_leaves_suite_truncation_alone(self, capsys, monkeypatch):
         calls = {}
@@ -651,6 +651,15 @@ class TestCheckTruncation:
         rc, out, _ = run_cli(capsys, "check", "--truncation", str(MIN_TRUNCATION))
         assert rc == 0
         assert f"N={MIN_TRUNCATION}" in out
+
+    def test_floor_is_the_least_passing_truncation(self):
+        # the real tower suites: the inverse one reaches wedge parameter
+        # 25, which a tower reads exactly only from N = 34 on
+        for name in sorted(acceptance._TOWER_SUITES):
+            passed, _, detail = dict(acceptance.ALL_SUITES)[name](MIN_TRUNCATION)
+            assert passed, (name, detail)
+        passed, _, detail = acceptance.suite_inverse_tower_vs_wedge(MIN_TRUNCATION - 1)
+        assert not passed and detail.startswith("unstable tower at"), detail
 
     def test_ceiling_itself_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(

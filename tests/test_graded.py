@@ -548,3 +548,58 @@ class TestTowerWedgeConsistency:
         y = FiniteInd(s, d)
         got = truncated_colim(build_hom_tower(y, n, 60)).value
         assert got == int(wedge_contains(n, y))
+
+
+def _read_or_raise(read, build, y, slot, truncation):
+    try:
+        return read(build(y, slot, truncation)).value
+    except TowerUnstableError:
+        return None
+
+
+class TestTruncationExactnessBound:
+    """A truncated tower reads its limit exactly whenever the wedge
+    parameter j of hom_dim's witness is at most N - max(1, ceil(N/4)),
+    and the bound is tight from N = 1 on: the first j past it already
+    misreads.  At N = 0 the one-stage tower also reads j = 0 exactly."""
+
+    # (builder, reader, j of (y, slot), the limit the tower presents)
+    ROUTES = [
+        (
+            build_hom_tower,
+            truncated_colim,
+            lambda y, slot: slot - y.shift,
+            lambda y, slot: hom_dim(y, PruferInd(slot)).value,
+        ),
+        (
+            build_inverse_hom_tower,
+            truncated_lim,
+            lambda y, slot: slot + 2 - y.shift,
+            lambda y, slot: int(wedge_contains(slot + 2, y)),
+        ),
+    ]
+
+    @pytest.mark.parametrize("truncation", [0, 1, 3, 4, 5, 8, 13, 20])
+    @pytest.mark.parametrize("route", range(2))
+    def test_bound_in_both_directions(self, truncation, route):
+        build, read, wedge_j, want = self.ROUTES[route]
+        bound = truncation - max(1, ceil(truncation / 4))
+        misread, top = [], -1
+        for shift in range(-6, 7):
+            for index in range(11):
+                y = FiniteInd(shift, index)
+                for slot in range(-6, 7):
+                    j = wedge_j(y, slot)
+                    top = max(top, j)
+                    got = _read_or_raise(read, build, y, slot, truncation)
+                    if got != want(y, slot):
+                        misread.append(j)
+        # exact inside the bound; past it, once the grid reaches it
+        first = bound + (2 if truncation == 0 else 1)
+        assert min(misread, default=None) == (first if first <= top else None)
+
+    def test_settled_misread_past_the_bound(self):
+        # at N = 4 the bound is j <= 3, and here j = 8 - 4 = 4
+        y = FiniteInd(4, 9)
+        assert truncated_colim(build_hom_tower(y, 8, 4)).value == 0
+        assert hom_dim(y, PruferInd(8)).value == 1

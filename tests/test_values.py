@@ -10,10 +10,13 @@ construction, positional patterns and the validation messages.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import infgon
 from infgon.acceptance import SuiteResult
 from infgon.approximations import (
     ApproximationKind,
@@ -52,7 +55,7 @@ from infgon.graded import (
     TowerDirection,
     TowerLimit,
 )
-from infgon.quiver import FiniteInd, PruferInd
+from infgon.quiver import FiniteInd, PruferInd, _Value
 
 _REASON = Reason(
     ReasonKind.FOUNTAIN_MISMATCH,
@@ -265,6 +268,27 @@ class TestDistinctTypes:
         assert Explicit([FiniteArc(0, 2)] * 2).arcs == frozenset({FiniteArc(0, 2)})
         assert ArcConfiguration([Fan(0)], [3, 1, 3]).infinite_arcs == (1, 3)
         assert DirectSystemDescriptor(None, [], ZeroLimit()).moves == ()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_one_value_protocol():
+    # Every value class compares and hashes through _Value itself, so the
+    # contract above holds by one definition.
+    for info in pkgutil.walk_packages(infgon.__path__, "infgon."):
+        importlib.import_module(info.name)
+    classes = list(_subclasses(_Value))
+    assert {FiniteInd, PruferInd, FiniteArc, InfiniteArc, Reason} <= set(classes)
+    overriding = [
+        cls.__qualname__
+        for cls in classes
+        if cls.__eq__ is not _Value.__eq__ or cls.__hash__ is not _Value.__hash__
+    ]
+    assert overriding == []
 
 
 class TestDerivedCrossingIndex:
