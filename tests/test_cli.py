@@ -626,7 +626,7 @@ class TestCheckTruncation:
             f"error: --truncation {truncation} is above the ceiling {MAX_TRUNCATION}\n"
         )
 
-    @pytest.mark.parametrize("truncation", [MIN_TRUNCATION - 1, 0, -1])
+    @pytest.mark.parametrize("truncation", [MIN_TRUNCATION - 1, 3, 0, -1])
     def test_truncation_below_floor_is_usage_error(
         self, capsys, monkeypatch, truncation
     ):
