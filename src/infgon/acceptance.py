@@ -328,16 +328,18 @@ def suite_shift_equivariance() -> tuple[bool, int, str]:
             if object_to_arc(shift_object(a, t)) != arc_route:
                 return False, n, f"translation mismatch at {a}, t={t}"
             n += 1
-        shifted = {o: shift_object(o, t) for o in objs}
-        moved = [(x.a, x.b) for x in (object_to_arc(shifted[o]) for o in finite)]
+        shifted = [shift_object(o, t) for o in objs]
+        moved = [(x.a, x.b) for x in map(object_to_arc, shifted[: len(finite)])]
         for a, (i, j), (si, sj) in zip(finite, ends, moved):
             for b, (m, k), (sm, sk) in zip(finite, ends, moved):
                 if (_region(i, j, m, k) is None) is not (_region(si, sj, sm, sk) is None):
                     return False, n, f"hom not shift-stable at {a}, {b}, t={t}"
                 n += 1
-        for a in objs:
-            for b in objs if isinstance(a, PruferInd) else limits:
-                if hom_dim(a, b).value != hom_dim(shifted[a], shifted[b]).value:
+        shifted_limits = shifted[len(finite) :]
+        for a, sa in zip(objs, shifted):
+            pairs = zip(objs, shifted) if isinstance(a, PruferInd) else zip(limits, shifted_limits)
+            for b, sb in pairs:
+                if hom_dim(a, b).value != hom_dim(sa, sb).value:
                     return False, n, f"hom not shift-stable at {a}, {b}, t={t}"
                 n += 1
     return True, n, "arc translation and hom invariance under shift"

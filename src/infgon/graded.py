@@ -31,15 +31,17 @@ the row is plus at both ends.  A direct tower is one kernel call at any
 truncation.  So is an inverse tower: by Serre duality its probe is the
 twice downshifted target, and that one dual row gives both its dims
 and its flags.  The nested tower makes one call per outer stage, over
-the settling tail of its inner tower; its gap guard is the outer
-tower's settledness rule, so its value is read off its last two dims.
+the settling tail of its inner tower, and reads that tail's
+settledness and colimit off the run itself, with no row: a call is
+linear in the truncation.  Its gap guard is the outer tower's
+settledness rule, so its value is read off its last two dims.
 """
 from __future__ import annotations
 
 from enum import Enum
 from itertools import groupby
 from math import ceil
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .quiver import (
     FiniteInd,
@@ -318,6 +320,22 @@ def _tail_value(dims: Sequence[int], flags: Sequence[bool]) -> int:
     return 0
 
 
+def _settled_tail_value(region: Optional[str], lo: int, hi: int, q: int) -> Optional[int]:
+    # The colimit of an inner tower from the kernel run over its last
+    # q + 1 stages (q >= 2), or None when that tail has not settled.
+    # Over the tail the dims are 1 exactly on lo..hi, and the flags are
+    # set on lo..hi - 1 when the region is plus (a plus run reaches the
+    # last stage, hi == q) and never when it is minus.  _stable_split
+    # needs dims 1..q and all q flags constant: dims 1..q are all 0 when
+    # the run is empty or hi == 0, all 1 when lo <= 1 and hi == q, and
+    # then the flags are all False (minus) or all True (plus, lo == 0).
+    # _tail_value reads the last dim and flag: 1 when a plus run has a
+    # flag before its last stage.
+    if lo > hi or hi == 0 or (lo <= 1 and hi == q and (region == "minus" or lo == 0)):
+        return 1 if region == "plus" and lo < hi else 0
+    return None
+
+
 def _read_tail(
     func: str, tower: object, direction: TowerDirection, kind: str
 ) -> tuple[int, int]:
@@ -369,9 +387,10 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     An inner tower's settlement and value depend only on its last q =
     ceil(truncation / 2) dims and flags, so each outer stage makes one
     kernel call, over the last q + 1 inner stages: N + 1 calls at
-    truncation N.  An inner tower whose tail is not constant is rebuilt
-    in full, one more call, so that it raises exactly as truncated_colim
-    would.
+    truncation N.  Its settledness and value are read off that run in
+    closed form, with no row built, so a call is linear in N.  An inner
+    tower whose tail is not constant is rebuilt in full, one more call,
+    so that it raises exactly as truncated_colim would.
 
     The gap guard is the outer tower's settledness rule.  When n <= m
     the outer dims are 0 before stage m - n and 1 from there on; when
@@ -395,24 +414,25 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
             f"truncation {truncation} is too short for slots {m} and {n}: "
             f"the nested tower settles only for m - n <= {longest_gap}"
         )
-    # _stable_split of an inner tower raises exactly when its last
-    # `quarter` dims or its last `quarter` flags are not all equal, and
-    # _tail_value reads the last of each; flag k needs rows k and k + 1.
-    quarter = _quarter(2 * truncation)
-    start = 2 * truncation - quarter
-    tail = _arc(n - start, start)
-    dims = []
-    for j in range(truncation + 1):
-        y = _arc(m - j, j)
-        inner_dims, inner_flags = _row(y, *tail, quarter + 1)
-        if len(set(inner_dims[1:])) > 1 or len(set(inner_flags)) > 1:
+    # Outer stage j has the arc (-m - 2, j - m) and the inner tail the
+    # arc (-n - 2, start - n): one kernel run over the last q + 1 inner
+    # stages per outer stage, read with no row.
+    q = _quarter(2 * truncation)
+    start = 2 * truncation - q
+    tm, tn = _arc(n - start, start)
+    left = -m - 2
+    prev = last = 0
+    for right in range(-m, truncation - m + 1):
+        region, lo, hi = _region_run(left, right, tm, tn, q + 1)
+        value = _settled_tail_value(region, lo, hi, q)
+        if value is None:
             # Not settled: the full inner tower raises with its own split.
-            _stable_split(*_row(y, *_arc(n, 0), 2 * truncation + 1))
-        dims.append(_tail_value(inner_dims, inner_flags))
+            _stable_split(*_row((left, right), *_arc(n, 0), 2 * truncation + 1))
+        prev, last = last, value
     # Every outer step lies in the plus region, and the ladder of
     # composites stage_j -> stage_{j+1} -> inner stage cannot turn a flag
     # off: two inner colimits of 1 need rows j and j + 1 plus at both
     # ends of every settled inner flag, wherever the ladder would read.
     # So the last outer flag is set when the last two dims are 1, and
     # the tower's value is that flag.
-    return 1 if dims[-2] == dims[-1] == 1 else 0
+    return 1 if prev == last == 1 else 0

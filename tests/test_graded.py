@@ -322,6 +322,48 @@ class TestPruferPruferTower:
         # a tail that has not settled rebuilds one full inner row to raise
         assert reads <= truncation + 1 + (1 if raises else 0)
 
+    @pytest.mark.parametrize("gap,runs,rows", [(6, 61, 0), (-60, None, 1)])
+    def test_settled_tails_build_no_row(self, run_calls, row_calls, gap, runs, rows):
+        # N = 60: a settled tail is read off its run; the first tail that
+        # has not settled rebuilds its full inner row and raises there
+        got = _value_or_error(prufer_prufer_tower, gap, 0, 60)
+        assert isinstance(got, tuple) == (runs is None)
+        if runs is not None:
+            assert len(run_calls) == runs
+        assert len(row_calls) == rows
+
+    def test_tail_rule_matches_row_read(self):
+        # every run in a window of arcs and tail lengths, against the
+        # settledness and value _stable_split and _tail_value read off
+        # the rows, on q dims and q flags
+        seen = set()
+        ends = range(-5, 6)
+        for q in range(2, 12):
+            for i in ends:
+                for j in ends:
+                    for m in ends:
+                        for n in ends:
+                            dims, flags = graded._row((i, j), m, n, q + 1)
+                            settled = len(set(dims[1:])) <= 1 and len(set(flags)) <= 1
+                            want = graded._tail_value(dims, flags) if settled else None
+                            run = graded._region_run(i, j, m, n, q + 1)
+                            assert graded._settled_tail_value(*run, q) == want, (i, j, m, n, q)
+                            seen.add(want)
+        assert seen == {0, 1, None}
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """The arguments of every full row graded builds, in order."""
+    calls, row = [], graded._row
+
+    def counting_row(*args):
+        calls.append(args)
+        return row(*args)
+
+    monkeypatch.setattr(graded, "_row", counting_row)
+    return calls
+
 
 @pytest.fixture
 def run_calls(monkeypatch):
