@@ -30,11 +30,15 @@ theorem), so a transition flag, the composite criterion, is set where
 the row is plus at both ends.  A direct tower is one kernel call at any
 truncation.  So is an inverse tower: by Serre duality its probe is the
 twice downshifted target, and that one dual row gives both its dims
-and its flags.  The nested tower makes one call per outer stage, over
-the settling tail of its inner tower, and reads that tail's
-settledness and colimit off the run itself, with no row: a call is
-linear in the truncation.  Its gap guard is the outer tower's
-settledness rule, so its value is read off its last two dims.
+and its flags.  The run also gives, in closed form, where the trailing
+constant runs of the dims and of the flags start; a built tower
+carries them, so truncated_colim and truncated_lim read its tail in
+constant time, with no scan.  A tower from the public constructor
+scans for them once, when it is made.  The nested tower makes one
+call per outer stage, over the settling tail of its inner tower, and
+reads that tail's settledness and colimit off the run itself, with no
+row: a call is linear in the truncation.  Its gap guard is the outer
+tower's settledness rule, so its value is read off its last two dims.
 """
 from __future__ import annotations
 
@@ -140,6 +144,12 @@ class TowerDirection(Enum):
     INVERSE = "inverse"
 
 
+# The members as module globals: a read through the class costs a
+# descriptor lookup on every build and read of a tower.
+_DIRECT = TowerDirection.DIRECT
+_INVERSE = TowerDirection.INVERSE
+
+
 class TowerUnstableError(RuntimeError):
     """The truncation is too short: the final quarter of the tower has
     not settled, so no limit can honestly be reported."""
@@ -152,9 +162,16 @@ class HomTower(_Value):
     flags whether the map between stages i and i+1 (in the tower's
     direction) is nonzero; a flag may only be set when both adjacent
     dimensions are 1.
+
+    The derived slot `_starts` holds where the trailing constant runs of
+    dims and of transition_nonzero start (0 when there are no flags).
+    The constructor finds them by one scan of each; build_hom_tower and
+    build_inverse_hom_tower set them in closed form from their kernel
+    run.  Either way a read of the tail needs no scan.
     """
 
-    __slots__ = __match_args__ = ("dims", "transition_nonzero", "direction")
+    __slots__ = ("dims", "transition_nonzero", "direction", "_starts")
+    __match_args__ = ("dims", "transition_nonzero", "direction")
 
     def __init__(
         self,
@@ -175,6 +192,7 @@ class HomTower(_Value):
         _set(self, "dims", dims)
         _set(self, "transition_nonzero", transition_nonzero)
         _set(self, "direction", direction)
+        _set(self, "_starts", _starts(dims, transition_nonzero))
 
 
 class TowerColimit(_Value):
@@ -205,10 +223,16 @@ def _row(
     y: tuple[int, int], m: int, n: int, count: int
 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     # Dims and flags of Hom(y, stage_k) for the count stages with arcs
-    # (m, n + k).  Flag k is the TRUE criterion of composite_nonzero for
-    # y -> stage_k -> stage_{k+1}, whose step is plus: the row is plus
-    # at k and at k + 1.
-    region, lo, hi = _region_run(*y, m, n, count)
+    # (m, n + k).
+    return _run_row(*_region_run(*y, m, n, count), count)
+
+
+def _run_row(
+    region: Optional[str], lo: int, hi: int, count: int
+) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    # The dims and flags of a row from its kernel run.  Flag k is the
+    # TRUE criterion of composite_nonzero for y -> stage_k -> stage_{k+1},
+    # whose step is plus: the row is plus at k and at k + 1.
     if lo > hi:
         return (0,) * count, (False,) * (count - 1)
     # a plus run reaches the last stage
@@ -223,11 +247,23 @@ def _slice_tower(
     # Hom(y, -) along the slice, whose stage k has the arc
     # (-slice_start - 2, k - slice_start).  Dims are 0/1 and flags sit
     # between nonzero stages by construction: HomTower's checks are skipped.
-    dims, flags = _row(y, *_arc(slice_start, 0), truncation + 1)
+    count = truncation + 1
+    region, lo, hi = _region_run(*y, *_arc(slice_start, 0), count)
+    dims, flags = _run_row(region, lo, hi, count)
+    # Where the trailing runs of the dims and the flags start, in closed
+    # form.  The dims are 1 exactly on lo..hi: all 0 when the run is
+    # empty, a trailing run of 1s from lo when it reaches the last stage,
+    # else a trailing run of 0s from hi + 1.  The flags are t = hi - lo
+    # Trues after count - 1 - t Falses when the run is plus, no True
+    # otherwise: all False from 0 when t is 0, else the Trues from
+    # count - 1 - t, which is 0 when every flag is True.
+    t = hi - lo if region == "plus" and lo <= hi else 0
+    sd = 0 if lo > hi else lo if hi == count - 1 else hi + 1
     tower = object.__new__(HomTower)
     _set(tower, "dims", dims)
     _set(tower, "transition_nonzero", flags)
     _set(tower, "direction", direction)
+    _set(tower, "_starts", (sd, count - 1 - t if t else 0))
     return tower
 
 
@@ -253,7 +289,7 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     y_arc = _finite_arc("build_hom_tower", "y", y)
-    return _slice_tower(y_arc, slice_start, truncation, TowerDirection.DIRECT)
+    return _slice_tower(y_arc, slice_start, truncation, _DIRECT)
 
 
 def build_inverse_hom_tower(
@@ -284,7 +320,7 @@ def build_inverse_hom_tower(
         raise ValueError("truncation must be >= 0")
     i, j = _finite_arc("build_inverse_hom_tower", "target", target)
     # Shifting an object by -2 moves both ends of its arc up by 2.
-    return _slice_tower((i + 2, j + 2), slice_start, truncation, TowerDirection.INVERSE)
+    return _slice_tower((i + 2, j + 2), slice_start, truncation, _INVERSE)
 
 
 def _quarter(truncation: int) -> int:
@@ -297,16 +333,21 @@ def _run_start(seq: Sequence) -> int:
     return len(seq) - len(list(next(groupby(reversed(seq)))[1]))
 
 
-def _stable_split(dims: Sequence[int], flags: Sequence[bool]) -> int:
-    # First index from which dims and flags both sit at their final
-    # constant values; raises if the settled tail is shorter than a
-    # quarter of the truncation.
-    quarter = _quarter(len(dims) - 1)
-    sd = _run_start(dims)
-    sf = _run_start(flags) if flags else 0
-    # The last `quarter` entries and the last `quarter` flags must all
-    # lie in the settled run.
-    if sd > len(dims) - quarter or (flags and sf > len(flags) - quarter):
+def _starts(dims: Sequence[int], flags: Sequence[bool]) -> tuple[int, int]:
+    # Where the trailing runs of dims and of flags start, by scanning.
+    return _run_start(dims), _run_start(flags) if flags else 0
+
+
+def _stable_split(count: int, starts: tuple[int, int]) -> int:
+    # First index from which the dims and flags of a tower of count
+    # stages, whose trailing runs start at starts, both sit at their
+    # final constant values; raises if the settled tail is shorter than
+    # a quarter of the truncation.
+    quarter = _quarter(count - 1)
+    sd, sf = starts
+    # The last `quarter` entries and the last `quarter` flags (there are
+    # count - 1 flags) must all lie in the settled run.
+    if sd > count - quarter or (count > 1 and sf > count - 1 - quarter):
         raise TowerUnstableError(
             f"tower tail not settled: needs {quarter} constant trailing "
             f"entries and flags, settled only from entry {sd}, flag {sf}"
@@ -345,7 +386,7 @@ def _read_tail(
     if tower.direction is not direction:
         raise ValueError(f"{func} needs {kind} tower")
     dims, flags = tower.dims, tower.transition_nonzero
-    stable_from = _stable_split(dims, flags)
+    stable_from = _stable_split(len(dims), tower._starts)
     return _tail_value(dims, flags), stable_from
 
 
@@ -356,8 +397,11 @@ def truncated_colim(tower: HomTower) -> TowerColimit:
     nonzero (each class survives forever); 0 otherwise.  Raises
     TowerUnstableError when the tail has not settled, and TypeError when
     tower is not a HomTower.
+
+    The tail is read off the run starts the tower carries, so a read
+    costs the same at any truncation.
     """
-    return TowerColimit(*_read_tail("truncated_colim", tower, TowerDirection.DIRECT, "a direct"))
+    return TowerColimit(*_read_tail("truncated_colim", tower, _DIRECT, "a direct"))
 
 
 def truncated_lim(tower: HomTower) -> TowerLimit:
@@ -369,7 +413,7 @@ def truncated_lim(tower: HomTower) -> TowerLimit:
     isomorphisms (nonzero maps between one-dimensional spaces).  Raises
     TypeError when tower is not a HomTower.
     """
-    return TowerLimit(*_read_tail("truncated_lim", tower, TowerDirection.INVERSE, "an inverse"))
+    return TowerLimit(*_read_tail("truncated_lim", tower, _INVERSE, "an inverse"))
 
 
 def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
@@ -427,7 +471,8 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
         value = _settled_tail_value(region, lo, hi, q)
         if value is None:
             # Not settled: the full inner tower raises with its own split.
-            _stable_split(*_row((left, right), *_arc(n, 0), 2 * truncation + 1))
+            dims, flags = _row((left, right), *_arc(n, 0), 2 * truncation + 1)
+            _stable_split(len(dims), _starts(dims, flags))
         prev, last = last, value
     # Every outer step lies in the plus region, and the ladder of
     # composites stage_j -> stage_{j+1} -> inner stage cannot turn a flag

@@ -6,6 +6,8 @@ wedge formula, an inverse tower's limit the shifted wedge formula, and
 the nested tower-of-towers the slot comparison for Pruefer pairs.
 """
 
+import copy
+import pickle
 from math import ceil
 
 import pytest
@@ -19,7 +21,9 @@ from infgon import (
     PolyFree,
     PruferInd,
     PruferMod,
+    TowerColimit,
     TowerDirection,
+    TowerLimit,
     TowerUnstableError,
     Tristate,
     build_hom_tower,
@@ -480,6 +484,126 @@ class TestKernelTowersPassTheConstructor:
             rebuilt = HomTower(t.dims, t.transition_nonzero, t.direction)
             assert rebuilt == t
             assert repr(rebuilt) == repr(t)
+
+
+# Every count of stages to 20, and two long towers.
+_COUNTS = (*range(1, 21), 61, 121)
+# Every finite arc with ends in -6..6.
+_ARCS = [(i, j) for i in range(-6, 5) for j in range(i + 2, 7)]
+
+
+def _read(tower):
+    """The read of a tower in its own direction, or its error text."""
+    read = truncated_colim if tower.direction is TowerDirection.DIRECT else truncated_lim
+    try:
+        return read(tower)
+    except TowerUnstableError as exc:
+        return str(exc)
+
+
+class TestClosedFormRunStarts:
+    """A built tower carries where the trailing runs of its dims and
+    flags start, set in closed form from its one kernel run.  They are
+    the starts a scan finds, and the tower reads the same as its public,
+    copied and unpickled rebuilds, which scan for them."""
+
+    def test_starts_match_scan(self):
+        # y and the slot start range over every arc with ends in -6..6,
+        # so the runs are plus, minus and empty, and a minus run ends
+        # before, at and past the last stage
+        seen = set()
+        for count in _COUNTS:
+            for y in _ARCS:
+                for slot in range(-6, 7):
+                    region, lo, hi = graded._region_run(*y, *_arc(slot, 0), count)
+                    t = graded._slice_tower(y, slot, count - 1, TowerDirection.DIRECT)
+                    flags = t.transition_nonzero
+                    scanned = (graded._run_start(t.dims), graded._run_start(flags) if flags else 0)
+                    assert t._starts == scanned, (y, slot, count)
+                    ends = "empty" if lo > hi else "last" if hi == count - 1 else "before"
+                    seen.add((region, ends, len(set(flags))))
+        assert seen >= {
+            ("plus", "last", 1),
+            ("plus", "last", 2),
+            ("minus", "last", 1),
+            ("minus", "before", 1),
+            ("minus", "empty", 1),
+            (None, "empty", 1),
+        }
+
+    @pytest.mark.parametrize("build", [build_hom_tower, build_inverse_hom_tower])
+    def test_rebuilds_read_the_same(self, build):
+        # many slots give the same tower: each tower and stored starts is
+        # rebuilt once
+        towers = {}
+        for count in _COUNTS:
+            for i, j in _ARCS:
+                y = FiniteInd(-j, j - i - 2)
+                for slot in range(-6, 7):
+                    t = build(y, slot, count - 1)
+                    towers.setdefault((t, t._starts), (y, slot))
+        reads = set()
+        for (t, starts), where in towers.items():
+            want = _read(t)
+            reads.add(type(want))
+            rebuilds = [
+                HomTower(t.dims, t.transition_nonzero, t.direction),
+                copy.deepcopy(t),
+                *(pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+            ]
+            for rebuilt in rebuilds:
+                assert rebuilt == t
+                assert rebuilt._starts == starts, where
+                assert _read(rebuilt) == want, where
+        assert reads == {TowerColimit if build is build_hom_tower else TowerLimit, str}
+
+
+@pytest.fixture
+def run_start_calls(monkeypatch):
+    """The arguments of every trailing-run scan graded makes, in order."""
+    calls, run_start = [], graded._run_start
+
+    def counting_run_start(*args):
+        calls.append(args)
+        return run_start(*args)
+
+    monkeypatch.setattr(graded, "_run_start", counting_run_start)
+    return calls
+
+
+class TestTailReadScansNothing:
+    """A read of a built tower scans neither its dims nor its flags; a
+    public tower scans each once, when it is made, and not when read."""
+
+    @pytest.mark.parametrize(
+        "build,read",
+        [(build_hom_tower, truncated_colim), (build_inverse_hom_tower, truncated_lim)],
+    )
+    @pytest.mark.parametrize("truncation", [0, 4, 60, 480])
+    def test_built_tower_read(self, run_start_calls, build, read, truncation):
+        outcomes = set()
+        for slot in range(-8, 9):
+            t = build(FiniteInd(-3, 4), slot, truncation)
+            try:
+                outcomes.add(read(t).value)
+            except TowerUnstableError:
+                outcomes.add(None)
+        assert run_start_calls == []
+        assert len(outcomes) >= 2
+
+    def test_public_tower_scans_at_construction(self, run_start_calls):
+        t = HomTower((0, 1, 1, 1, 1), (False, True, True, True), TowerDirection.DIRECT)
+        assert len(run_start_calls) == 2
+        assert truncated_colim(t).stable_from == 1
+        assert len(run_start_calls) == 2
+        copy.deepcopy(t)
+        pickle.loads(pickle.dumps(t))
+        assert len(run_start_calls) == 6
+
+    def test_public_tower_without_flags(self, run_start_calls):
+        t = HomTower((1,), (), TowerDirection.INVERSE)
+        assert truncated_lim(t).value == 1
+        assert len(run_start_calls) == 1
 
 
 class TestArgumentTypes:
