@@ -501,7 +501,7 @@ class TestClosedFormRunStarts:
     def test_starts_match_scan(self):
         # y and the slot start range over every arc with ends in -6..6,
         # so the runs are plus, minus and empty, and a minus run ends
-        # before, at and past the last stage
+        # before or at the last stage
         seen = set()
         for count in _COUNTS:
             for y in _ARCS:
