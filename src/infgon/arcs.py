@@ -20,7 +20,6 @@ from typing import Union
 from .quiver import (
     FiniteInd,
     HomDim,
-    HomWitness,
     IndObject,
     PruferInd,
     _Value,
@@ -177,8 +176,7 @@ def ext_via_crossing(x: Arc, y: Arc) -> HomDim:
             "ext between two limit objects is not symmetric; "
             "use ext_dim on the objects in the direction you mean"
         )
-    witness = _new(HomWitness, ("arcs-cross", None, (x, y)))
-    return _new(HomDim, (1 if result is _CROSS else 0, witness))
+    return _new(HomDim, (1 if result is _CROSS else 0, "arcs-cross", None, (x, y)))
 
 
 def overarcs_crossing_infinite(m: int, window: tuple[int, int]) -> list[FiniteArc]:

@@ -179,6 +179,8 @@ class HomTower(_Value):
         transition_nonzero: tuple[bool, ...],
         direction: TowerDirection,
     ) -> None:
+        # frozen first, so a caller's list cannot change them later
+        dims, transition_nonzero = tuple(dims), tuple(transition_nonzero)
         if len(transition_nonzero) != len(dims) - 1:
             raise ValueError("need exactly one transition flag per adjacent pair")
         if any(d not in (0, 1) for d in dims):

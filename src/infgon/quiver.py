@@ -208,7 +208,11 @@ class HomWitness(_Record):
 
 
 class HomDim(_Record):
-    """A hom-space dimension (always 0 or 1) plus its witness."""
+    """A hom-space dimension (always 0 or 1) plus its witness.
+
+    The record is flat, (value, rule, region, params), so an answer is
+    one tuple; witness builds an equal HomWitness on every read.
+    """
 
     __slots__ = ()
     __match_args__ = ("value", "witness")
@@ -216,15 +220,31 @@ class HomDim(_Record):
     def __new__(cls, value: int, witness: HomWitness) -> HomDim:
         if value not in (0, 1):
             raise ValueError(f"hom dimension must be 0 or 1, got {value}")
-        return tuple.__new__(cls, (value, witness))
+        if type(witness) is not HomWitness:
+            raise TypeError(
+                f"HomDim takes a HomWitness witness, witness is {type(witness).__name__}"
+            )
+        return tuple.__new__(cls, (value, *witness))
 
     value = property(itemgetter(0))
-    witness = property(itemgetter(1))
+
+    @property
+    def witness(self) -> HomWitness:
+        return _new(HomWitness, self[1:])
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self.witness)
+
+    def __hash__(self) -> int:
+        return hash((self[0], self.witness))
+
+    def __repr__(self) -> str:
+        return _repr(self, (self[0], self.witness))
 
 
-# The answer path builds HomDim and HomWitness in place through this
-# one constructor: its values are 0 or 1 by construction, so the checks
-# of the public constructors are skipped.
+# The answer path builds a flat HomDim in place through this one
+# constructor: its values are 0 or 1 by construction, so the checks of
+# the public constructor are skipped.
 _new = tuple.__new__
 
 
@@ -352,25 +372,21 @@ def _hom_dim(func: str, a: IndObject, b: IndObject, t: int) -> HomDim:
             m = n - b.index - 2
             j = -a.shift
             region = _region(j - a.index - 2, j, m, n)
-            witness = _new(HomWitness, ("finite-finite", region, (m, n)))
-            return _new(HomDim, (0 if region is None else 1, witness))
+            return _new(HomDim, (0 if region is None else 1, "finite-finite", region, (m, n)))
         if isinstance(a, PruferInd):
             base = a.slot + 2
             j = base - shift
             k = b.index
-            witness = _new(HomWitness, ("prufer-finite", None, (base, j, k)))
-            return _new(HomDim, (1 if 0 <= j <= k else 0, witness))
+            return _new(HomDim, (1 if 0 <= j <= k else 0, "prufer-finite", None, (base, j, k)))
     elif isinstance(b, PruferInd):
         slot = b.slot + t
         if isinstance(a, FiniteInd):
             j = slot - a.shift
             k = a.index
-            witness = _new(HomWitness, ("finite-prufer", None, (slot, j, k)))
-            return _new(HomDim, (1 if 0 <= j <= k else 0, witness))
+            return _new(HomDim, (1 if 0 <= j <= k else 0, "finite-prufer", None, (slot, j, k)))
         if isinstance(a, PruferInd):
             m = a.slot
-            witness = _new(HomWitness, ("prufer-prufer", None, (m, slot)))
-            return _new(HomDim, (1 if slot <= m else 0, witness))
+            return _new(HomDim, (1 if slot <= m else 0, "prufer-prufer", None, (m, slot)))
     name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
     raise TypeError(
         f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"

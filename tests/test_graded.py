@@ -132,6 +132,19 @@ class TestHomTowerValidation:
         with pytest.raises(ValueError):
             HomTower((1, 0), (True,), TowerDirection.DIRECT)
 
+    def test_lists_are_frozen(self):
+        # the caller's lists change after the tower is made; the tower
+        # keeps its own tuples and reads as the tower built from tuples
+        d, f = [1] * 5, [True] * 4
+        t = HomTower(d, f, TowerDirection.DIRECT)
+        d[0] = 0
+        f[0] = False
+        want = HomTower((1,) * 5, (True,) * 4, TowerDirection.DIRECT)
+        assert t.dims == (1,) * 5 and t.transition_nonzero == (True,) * 4
+        assert t == want and hash(t) == hash(want) and repr(t) == repr(want)
+        assert t._starts == want._starts
+        assert truncated_colim(t) == truncated_colim(want)
+
 
 def _run_start_by_loop(seq):
     """Where the trailing run equal to seq[-1] starts, by the loop

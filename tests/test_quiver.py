@@ -32,6 +32,7 @@ from infgon import (
     arcs_cross,
     wedge_contains,
 )
+from infgon import arcs, quiver
 from infgon.quiver import _arc, _hom_ends, _region, _region_run
 
 
@@ -157,6 +158,18 @@ class TestRecords:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(d, protocol))
             assert back == d and type(back.witness) is HomWitness
+
+    @pytest.mark.parametrize("witness", [None, ("finite-finite", None, (0, 2))])
+    def test_witness_must_be_a_hom_witness(self, witness):
+        with pytest.raises(TypeError, match=f"witness is {type(witness).__name__}"):
+            HomDim(1, witness)
+
+    @pytest.mark.parametrize("d,_", RECORD_REPRS)
+    def test_flat_fields_and_witness_read(self, d, _):
+        # one flat tuple; each read of witness builds an equal record
+        w = d.witness
+        assert tuple(d) == (d.value, w.rule, w.region, w.params)
+        assert d.witness == w and type(w) is HomWitness
 
     def test_keyword_construction_and_match(self):
         w = HomWitness(rule="prufer-prufer", region=None, params=(3, 1))
@@ -419,6 +432,10 @@ def docstring_hom(a, b):
 
 wide_finite = st.builds(FiniteInd, st.integers(-40, 40), st.integers(0, 60))
 wide_prufer = st.builds(PruferInd, st.integers(-40, 40))
+wide_arc = st.builds(
+    lambda a, d: FiniteArc(a, a + d), st.integers(-40, 40), st.integers(2, 60)
+)
+wide_ray = st.builds(InfiniteArc, st.integers(-40, 40))
 
 
 class TestFlatAnswerPath:
@@ -446,6 +463,68 @@ class TestFlatAnswerPath:
             assert got == want
             assert repr(got) == repr(want)
             assert type(got) is HomDim and type(got.witness) is HomWitness
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [(wide_arc, wide_arc), (wide_arc, wide_ray), (wide_ray, wide_arc)],
+        ids=["arc-arc", "arc-ray", "ray-arc"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_ext_via_crossing_matches_crossing(self, left, right, data):
+        x, y = data.draw(left), data.draw(right)
+        cross = arcs_cross(x, y) is CrossResult.CROSS
+        got = ext_via_crossing(x, y)
+        want = HomDim(int(cross), HomWitness("arcs-cross", None, (x, y)))
+        assert got == want
+        assert repr(got) == repr(want)
+        assert type(got) is HomDim and type(got.witness) is HomWitness
+
+
+@pytest.fixture
+def record_builds(monkeypatch):
+    """The record type of every tuple built through _new in quiver or
+    arcs, and of every record made by a public constructor."""
+    builds, new = [], quiver._new
+
+    def counting_new(cls, fields):
+        builds.append(cls)
+        return new(cls, fields)
+
+    monkeypatch.setattr(quiver, "_new", counting_new)
+    monkeypatch.setattr(arcs, "_new", counting_new)
+    for cls in (HomDim, HomWitness):
+        public_new = cls.__new__
+
+        def counting_public_new(c, *args, _new=public_new, **kwargs):
+            builds.append(c)
+            return _new(c, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting_public_new))
+    return builds
+
+
+class TestOneRecordPerAnswer:
+    """Each answer of hom_dim, ext_dim and ext_via_crossing is built as
+    one HomDim, with no HomWitness, under every rule."""
+
+    def test_every_rule(self, record_builds):
+        objs = [FiniteInd(s, i) for s in range(-3, 4) for i in range(4)]
+        objs += [PruferInd(n) for n in range(-3, 4)]
+        rules = set()
+        for a in objs:
+            for b in objs:
+                answers = [hom_dim(a, b), ext_dim(a, b)]
+                x, y = arcs.object_to_arc(a), arcs.object_to_arc(b)
+                if isinstance(x, FiniteArc) or isinstance(y, FiniteArc):
+                    answers.append(ext_via_crossing(x, y))
+                assert record_builds == [HomDim] * len(answers), (a, b)
+                record_builds.clear()
+                rules.update(d.witness.rule for d in answers)
+                record_builds.clear()
+        assert rules == {
+            "finite-finite", "finite-prufer", "prufer-finite", "prufer-prufer", "arcs-cross"
+        }
 
 
 class TestEndpointRules:
