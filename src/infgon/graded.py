@@ -161,7 +161,7 @@ class HomTower(_Value):
     dims[i] is the 0/1 dimension at stage i.  transition_nonzero[i]
     flags whether the map between stages i and i+1 (in the tower's
     direction) is nonzero; a flag may only be set when both adjacent
-    dimensions are 1.
+    dimensions are 1.  The constructor stores both as tuples.
 
     The derived slot `_starts` holds where the trailing constant runs of
     dims and of transition_nonzero start (0 when there are no flags).
@@ -179,7 +179,7 @@ class HomTower(_Value):
         transition_nonzero: tuple[bool, ...],
         direction: TowerDirection,
     ) -> None:
-        # frozen first, so a caller's list cannot change them later
+        # copied first, so later changes to a caller's lists cannot reach it
         dims, transition_nonzero = tuple(dims), tuple(transition_nonzero)
         if len(transition_nonzero) != len(dims) - 1:
             raise ValueError("need exactly one transition flag per adjacent pair")

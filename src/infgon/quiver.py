@@ -29,10 +29,11 @@ pins to _region.
 hom_dim and ext_dim answer on one flat path per pair of kinds: the arc
 endpoints are read inline, the kernel _region is called once with four
 ints, or a wedge or slot comparison decides for a limit object, and
-HomDim and its HomWitness are built in place, without the checks of
-their public constructors.  arcs.ext_via_crossing builds its records
-the same way.  _hom_ends states the same four rules on arc endpoints
-alone, for callers that hold arcs and need no witness.
+one flat HomDim is built in place, without the checks of its public
+constructor; its HomWitness is built only when read.
+arcs.ext_via_crossing builds its answer the same way.  _hom_ends states
+the same four rules on arc endpoints alone, for callers that hold arcs
+and need no witness.
 """
 from __future__ import annotations
 

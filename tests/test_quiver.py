@@ -496,9 +496,9 @@ def record_builds(monkeypatch):
     for cls in (HomDim, HomWitness):
         public_new = cls.__new__
 
-        def counting_public_new(c, *args, _new=public_new, **kwargs):
+        def counting_public_new(c, *args, make=public_new, **kwargs):
             builds.append(c)
-            return _new(c, *args, **kwargs)
+            return make(c, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__new__", staticmethod(counting_public_new))
     return builds
@@ -519,7 +519,6 @@ class TestOneRecordPerAnswer:
                 if isinstance(x, FiniteArc) or isinstance(y, FiniteArc):
                     answers.append(ext_via_crossing(x, y))
                 assert record_builds == [HomDim] * len(answers), (a, b)
-                record_builds.clear()
                 rules.update(d.witness.rule for d in answers)
                 record_builds.clear()
         assert rules == {
