@@ -35,9 +35,10 @@ SCHEMA = "infgon/1"
 # tower suite probes up to j = 8 + 2 + 15 = 25: its slots reach 8, its
 # probe sits two up, and its objects reach shift -15.  34 is the least N
 # with N - ceil(N/4) >= 25; the other two tower suites pass from there
-# too.  The nested tower suite grows with the square of its truncation:
-# at 240 the three tower suites take about 0.6 s on a 2-core host,
-# 0.2 s of it in the nested one.
+# too.  The nested tower suite makes a fixed number of kernel calls per
+# tower at any truncation; the two others grow with it.  At 240 the three
+# tower suites take about 0.25 s on a 2-core host, under 1 ms of it in
+# the nested one.
 MIN_TRUNCATION = 34
 MAX_TRUNCATION = 240
 # The widest window `render` draws, and `witness approximation` reports

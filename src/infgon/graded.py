@@ -34,11 +34,12 @@ and its flags.  The run also gives, in closed form, where the trailing
 constant runs of the dims and of the flags start; a built tower
 carries them, so truncated_colim and truncated_lim read its tail in
 constant time, with no scan.  A tower from the public constructor
-scans for them once, when it is made.  The nested tower makes one
-call per outer stage, over the settling tail of its inner tower, and
-reads that tail's settledness and colimit off the run itself, with no
-row: a call is linear in the truncation.  Its gap guard is the outer
-tower's settledness rule, so its value is read off its last two dims.
+scans for them once, when it is made.  The nested tower reads the
+settling tail of an inner tower off one call, with no row, and finds
+the first outer stage whose tail has not settled in closed form: a
+call makes at most two kernel calls at any truncation.  Its gap guard
+is the outer tower's settledness rule, so its value is read off its
+last two dims.
 """
 from __future__ import annotations
 
@@ -215,7 +216,7 @@ class TowerLimit(_Value):
 
 
 def _check_ints(func: str, **args: object) -> None:
-    # Once per public call, before any stage is built.
+    # Only once an inline isinstance test fails: names the first non-int.
     for name, x in args.items():
         if not isinstance(x, int):
             raise TypeError(f"{func} takes an int {name}, {name} is {type(x).__name__}")
@@ -287,7 +288,8 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     Raises TypeError when y is not a FiniteInd or slice_start or
     truncation is not an int.
     """
-    _check_ints("build_hom_tower", slice_start=slice_start, truncation=truncation)
+    if not (isinstance(slice_start, int) and isinstance(truncation, int)):
+        _check_ints("build_hom_tower", slice_start=slice_start, truncation=truncation)
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     y_arc = _finite_arc("build_hom_tower", "y", y)
@@ -315,9 +317,8 @@ def build_inverse_hom_tower(
     on a wrong value, as for build_hom_tower.  Raises TypeError when
     target is not a FiniteInd or slice_start or truncation is not an int.
     """
-    _check_ints(
-        "build_inverse_hom_tower", slice_start=slice_start, truncation=truncation
-    )
+    if not (isinstance(slice_start, int) and isinstance(truncation, int)):
+        _check_ints("build_inverse_hom_tower", slice_start=slice_start, truncation=truncation)
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     i, j = _finite_arc("build_inverse_hom_tower", "target", target)
@@ -379,6 +380,28 @@ def _settled_tail_value(region: Optional[str], lo: int, hi: int, q: int) -> Opti
     return None
 
 
+def _first_unsettled_stage(
+    left: int, tm: int, tn: int, q: int, r0: int, r1: int
+) -> Optional[int]:
+    # The least r in r0..r1 whose inner tail _region_run(left, r, tm, tn,
+    # q + 1) has not settled by _settled_tail_value, else None.  Minus at
+    # every r when tm <= left - 2: lo is fixed, hi = min(r - 2 - tn, q)
+    # grows with r, unsettled while max(lo, 1) <= hi <= q - [lo <= 1].
+    # Plus from r = tm + 2 on when left <= tm, with lo = max(r - tn, 0)
+    # and hi = q: unsettled while 1 <= r - tn <= q.  No run at all when
+    # tm = left - 1.
+    if tm <= left - 2:
+        lo = max(left - tn, 0)
+        r = max(r0, tn + 2 + max(lo, 1))
+        if r <= r1 and max(lo, 1) <= min(r - 2 - tn, q) <= q - (lo <= 1):
+            return r
+    elif left <= tm:
+        r = max(r0, tm + 2, tn + 1)
+        if r <= min(r1, tn + q):
+            return r
+    return None
+
+
 def _read_tail(
     func: str, tower: object, direction: TowerDirection, kind: str
 ) -> tuple[int, int]:
@@ -431,12 +454,14 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     stable for outer stages near the end.
 
     An inner tower's settlement and value depend only on its last q =
-    ceil(truncation / 2) dims and flags, so each outer stage makes one
-    kernel call, over the last q + 1 inner stages: N + 1 calls at
-    truncation N.  Its settledness and value are read off that run in
-    closed form, with no row built, so a call is linear in N.  An inner
-    tower whose tail is not constant is rebuilt in full, one more call,
-    so that it raises exactly as truncated_colim would.
+    ceil(truncation / 2) dims and flags, which one kernel call over its
+    last q + 1 stages gives, read in closed form with no row built.
+    Which outer stages have a tail that has not settled follows in
+    closed form from that call's case split, so no stage is scanned:
+    the first such inner tower is rebuilt in full, one call, so that it
+    raises exactly as truncated_colim would; otherwise the value is read
+    off the tails of the last two outer stages.  A call makes at most 2
+    kernel calls at any truncation.
 
     The gap guard is the outer tower's settledness rule.  When n <= m
     the outer dims are 0 before stage m - n and 1 from there on; when
@@ -448,7 +473,8 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     caller picks the truncation large enough relative to |m - n|.
     Raises TypeError when an argument is not an int.
     """
-    _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
+    if not (isinstance(m, int) and isinstance(n, int) and isinstance(truncation, int)):
+        _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
     if truncation < 4:
         raise ValueError("truncation must be >= 4")
     # Outer stage j is nonzero only from j = m - n on.  Past this gap
@@ -462,24 +488,22 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
         )
     # Outer stage j has the arc (-m - 2, j - m) and the inner tail the
     # arc (-n - 2, start - n): one kernel run over the last q + 1 inner
-    # stages per outer stage, read with no row.
+    # stages reads an outer stage, with no row.
     q = _quarter(2 * truncation)
     start = 2 * truncation - q
     tm, tn = _arc(n - start, start)
-    left = -m - 2
-    prev = last = 0
-    for right in range(-m, truncation - m + 1):
-        region, lo, hi = _region_run(left, right, tm, tn, q + 1)
-        value = _settled_tail_value(region, lo, hi, q)
-        if value is None:
-            # Not settled: the full inner tower raises with its own split.
-            dims, flags = _row((left, right), *_arc(n, 0), 2 * truncation + 1)
-            _stable_split(len(dims), _starts(dims, flags))
-        prev, last = last, value
+    left, r1 = -m - 2, truncation - m
+    r = _first_unsettled_stage(left, tm, tn, q, -m, r1)
+    if r is not None:
+        # Not settled: the full inner tower raises with its own split.
+        dims, flags = _row((left, r), *_arc(n, 0), 2 * truncation + 1)
+        _stable_split(len(dims), _starts(dims, flags))
     # Every outer step lies in the plus region, and the ladder of
     # composites stage_j -> stage_{j+1} -> inner stage cannot turn a flag
     # off: two inner colimits of 1 need rows j and j + 1 plus at both
     # ends of every settled inner flag, wherever the ladder would read.
     # So the last outer flag is set when the last two dims are 1, and
     # the tower's value is that flag.
+    prev = _settled_tail_value(*_region_run(left, r1 - 1, tm, tn, q + 1), q)
+    last = _settled_tail_value(*_region_run(left, r1, tm, tn, q + 1), q)
     return 1 if prev == last == 1 else 0

@@ -39,6 +39,7 @@ from infgon import (
     wedge_contains,
 )
 from infgon import graded
+from infgon.cli import MAX_TRUNCATION
 from infgon.quiver import _arc, _region
 
 
@@ -329,26 +330,81 @@ class TestPruferPruferTower:
         )
 
     @pytest.mark.parametrize("gap,raises", [(6, False), (-60, True)])
-    def test_kernel_reads_bounded_by_tail(self, run_calls, gap, raises):
-        # N = 60: one kernel run per outer stage, over its inner tail
-        truncation = 60
-        got = _value_or_error(prufer_prufer_tower, gap, 0, truncation)
-        reads = len(run_calls)
-        assert got == _value_or_error(nested_by_full_rows, gap, 0, truncation)
-        assert isinstance(got, tuple) == raises
-        # a tail that has not settled rebuilds one full inner row to raise
-        assert reads <= truncation + 1 + (1 if raises else 0)
+    def test_kernel_reads_bounded_by_tail(self, run_calls, row_calls, gap, raises):
+        # gap scaled from N = 60 to N = 30, 60 and 240: at most two kernel
+        # runs at any N, over the last two outer stages; a tail that has
+        # not settled rebuilds its one full row, one run, to raise
+        for truncation in (30, 60, 240):
+            run_calls.clear()
+            row_calls.clear()
+            scaled = gap * truncation // 60
+            got = _value_or_error(prufer_prufer_tower, scaled, 0, truncation)
+            reads = (len(run_calls), len(row_calls))
+            assert got == _value_or_error(nested_by_full_rows, scaled, 0, truncation)
+            assert isinstance(got, tuple) == raises
+            assert reads == ((1, 1) if raises else (2, 0)), truncation
 
     @pytest.mark.parametrize("gap,raises", [(6, False), (-60, True)])
     def test_settled_tails_build_no_row(self, run_calls, row_calls, gap, raises):
-        # N = 60: a settled tail is read off its run; the first tail that
-        # has not settled rebuilds its full inner row and raises there
+        # N = 60: every settled tail is read off the runs of the last two
+        # outer stages; the first tail that has not settled rebuilds its
+        # full inner row and raises there
         got = _value_or_error(prufer_prufer_tower, gap, 0, 60)
         assert isinstance(got, tuple) == raises
         if raises:
             assert len(row_calls) == 1
         else:
-            assert (len(run_calls), len(row_calls)) == (61, 0)
+            assert (len(run_calls), len(row_calls)) == (2, 0)
+
+    def test_first_unsettled_stage_matches_scan(self):
+        # the closed form against a scan of every outer stage's tail, for
+        # every left, tm and tn in -6..6, tail of 2 to 11 flags and outer
+        # range r0..r1 in -8..8
+        first_unsettled, ends, stages = graded._first_unsettled_stage, range(-6, 7), range(-8, 9)
+        seen = set()
+        for q in range(2, 12):
+            for left in ends:
+                for tm in ends:
+                    case = "minus" if tm <= left - 2 else "none" if tm == left - 1 else "plus"
+                    for tn in ends:
+                        unsettled = [
+                            r
+                            for r in stages
+                            if graded._settled_tail_value(
+                                *graded._region_run(left, r, tm, tn, q + 1), q
+                            )
+                            is None
+                        ]
+                        for r0 in stages:
+                            first = next((r for r in unsettled if r >= r0), 9)
+                            ranges = range(r0, 9)
+                            got = [first_unsettled(left, tm, tn, q, r0, r1) for r1 in ranges]
+                            want = [first if first <= r1 else None for r1 in ranges]
+                            assert got == want, (left, tm, tn, q, r0)
+                            seen.update((case, r is None) for r in {got[0], got[-1]})
+        assert seen == {
+            ("minus", False),
+            ("minus", True),
+            ("plus", False),
+            ("plus", True),
+            ("none", True),
+        }
+
+    @pytest.mark.parametrize("gap_offset", range(-3, 4))
+    def test_matches_full_rows_at_the_ceiling(self, gap_offset):
+        # N = MAX_TRUNCATION: gaps within 3 of where the inner tails start
+        # and stop settling, of the border between the answers 0 and 1,
+        # and of the gap guard
+        truncation = MAX_TRUNCATION
+        q, longest_gap = ceil(truncation / 2), truncation - ceil(truncation / 4)
+        answers = set()
+        for border in (-2 * truncation - 2, -q - 3, -1, longest_gap):
+            gap = border + gap_offset
+            n = gap % 5 - 2
+            got = _value_or_error(prufer_prufer_tower, gap + n, n, truncation)
+            assert got == _value_or_error(nested_by_full_rows, gap + n, n, truncation), gap
+            answers.add(got if isinstance(got, int) else got[0])
+        assert answers == {0, 1, "TowerUnstableError"}
 
     def test_tail_rule_matches_row_read(self):
         # every run in a window of arcs and tail lengths, against the
