@@ -32,8 +32,8 @@ from .configurations import (
     SplitFan,
     Verdict,
     Zigzag,
-    _family_member,
-    _members_of_span,
+    _is_member,
+    _pairs_of_span,
     classify,
     materialize,
     overarc_antichain,
@@ -350,7 +350,7 @@ def suite_family_maximality() -> tuple[bool, int, str]:
     # search; this re-checks that theorem over windows.  Members come
     # from materialize and every decision is a plain arcs_cross, never
     # the closed-form crossing witnesses classify uses.  The closed-form
-    # membership _family_member and _members_of_span must list exactly
+    # membership _is_member and _pairs_of_span must list exactly
     # the members materialize lists, which is written apart from them.
     windows = (8, 12, 16)
     families: list = [(Fan(v), v) for v in range(-3, 4)]
@@ -363,13 +363,13 @@ def suite_family_maximality() -> tuple[bool, int, str]:
             members = materialize(ArcConfiguration([g]), (lo, hi))
             have = set(members)
             for cand in _finite_arcs(lo, hi):
-                if _family_member(g, cand) is not (cand in have):
-                    return False, n, f"{g}: _family_member wrong on {cand}"
+                if _is_member(g, cand.a, cand.b) is not (cand in have):
+                    return False, n, f"{g}: _is_member wrong on {cand}"
                 n += 1
             for k in range(2, hi - lo + 1):
-                inside = [t for t in _members_of_span(g, k) if lo <= t.a and t.b <= hi]
-                if inside != [t for t in members if t.span == k]:
-                    return False, n, f"{g}: _members_of_span({k}) wrong in window +-{w}"
+                inside = [(a, b) for a, b in _pairs_of_span(g, k) if lo <= a and b <= hi]
+                if inside != [(t.a, t.b) for t in members if t.span == k]:
+                    return False, n, f"{g}: _pairs_of_span({k}) wrong in window +-{w}"
                 n += 1
             for i, x in enumerate(members):
                 for y in members[i + 1 :]:

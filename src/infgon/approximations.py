@@ -30,7 +30,7 @@ from .configurations import (
     DEFAULT_WINDOW,
     _member_ends,
 )
-from .quiver import FiniteInd, IndObject, PruferInd, _Value, _hom_ends, _set
+from .quiver import FiniteInd, IndObject, PruferInd, _Value, _hom_ends, _not_a, _set
 
 __all__ = [
     "ApproximationKind",
@@ -227,20 +227,28 @@ def classify_direct_system(path: DirectSystemDescriptor) -> SystemLimit:
     The finite prefix is validated (a DOWN move at index 0 leaves the
     quiver) but has no influence on the answer: any finite amount of
     zigzagging washes out in the limit.  The tail tag alone decides.
+    Raises TypeError naming the field when start is not None or a
+    FiniteInd, a move is not a Move, or tail is not a TailBehavior.
     """
-    if path.moves and path.start is None:
-        raise ValueError("a move prefix needs a start object")
-    if path.start is not None:
-        cur = path.start
-        for step in path.moves:
-            if step is Move.UP:
-                cur = FiniteInd(cur.shift - 1, cur.index + 1)
-            else:
-                if cur.index < 1:
-                    raise ValueError(
-                        f"DOWN move from index {cur.index} leaves the quiver"
-                    )
-                cur = FiniteInd(cur.shift - 1, cur.index - 1)
+    who = "classify_direct_system"
+    if not isinstance(path.tail, (RidesSliceFrom, ZigzagsForever)):
+        raise _not_a("a RidesSliceFrom or ZigzagsForever tail", "tail", path.tail, who)
+    if path.start is None:
+        if path.moves:
+            raise ValueError("a move prefix needs a start object")
+    elif not isinstance(path.start, FiniteInd):
+        raise _not_a("a FiniteInd start", "start", path.start, who)
+    # each move changes the index by +-1, and the shift by -1
+    index = 0 if path.start is None else path.start.index
+    for k, step in enumerate(path.moves):
+        if step is Move.UP:
+            index += 1
+        elif step is not Move.DOWN:
+            raise _not_a("Move moves", f"moves[{k}]", step, who)
+        elif index < 1:
+            raise ValueError(f"DOWN move from index {index} leaves the quiver")
+        else:
+            index -= 1
     if isinstance(path.tail, RidesSliceFrom):
         return PruferLimit(path.tail.slot)
     return ZeroLimit()

@@ -59,7 +59,7 @@ from .arcs import (
     arc_sort_key,
     format_arc,
 )
-from .quiver import _Value, _set
+from .quiver import _Value, _not_a, _set
 
 __all__ = [
     "Explicit",
@@ -138,10 +138,6 @@ class SplitFan(_Value):
 Generator = Union[Explicit, Fan, Zigzag, SplitFan]
 
 
-def _not_a(kinds: str, name: str, x: object, who: str = "ArcConfiguration") -> TypeError:
-    return TypeError(f"{who} takes {kinds}, {name} is {type(x).__name__}")
-
-
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -203,26 +199,27 @@ class ArcConfiguration(_Value):
         explicit: set[FiniteArc] = set()
         families: list[Generator] = []
         seen: set[object] = set()
+        who = "ArcConfiguration"
         for k, g in enumerate(generators):
             where = f"generators[{k}]"
             if isinstance(g, Explicit):
                 for t in g.arcs:
                     if not isinstance(t, FiniteArc):
-                        raise _not_a("FiniteArc explicit arcs", f"an arc of {where}", t)
+                        raise _not_a("FiniteArc explicit arcs", f"an arc of {where}", t, who)
                 explicit |= g.arcs
                 continue
             if not isinstance(g, (Fan, Zigzag, SplitFan)):
-                raise _not_a("Explicit, Fan, Zigzag or SplitFan generators", where, g)
+                raise _not_a("Explicit, Fan, Zigzag or SplitFan generators", where, g, who)
             for name, x in zip(g.__match_args__, g._values(g)):
                 if not _is_int(x):
-                    raise _not_a("int family parameters", f"{where}.{name}", x)
+                    raise _not_a("int family parameters", f"{where}.{name}", x, who)
             canon = g if isinstance(g, Zigzag) else g._feet
             if canon not in seen:
                 seen.add(canon)
                 families.append(g)
         for k, m in enumerate(slots):
             if not _is_int(m):
-                raise _not_a("int infinite arc slots", f"infinite_arcs[{k}]", m)
+                raise _not_a("int infinite arc slots", f"infinite_arcs[{k}]", m, who)
         _set(self, "generators", generators)
         _set(self, "infinite_arcs", tuple(sorted(set(slots))))
         _set(self, "_explicit", frozenset(explicit))
@@ -338,10 +335,6 @@ def load_configuration(path: str) -> ArcConfiguration:
 # --- structure helpers ----------------------------------------------------
 
 
-def _family_member(g: Generator, arc: FiniteArc) -> bool:
-    return _is_member(g, arc.a, arc.b)
-
-
 def _is_member(g: Generator, a: int, b: int) -> bool:
     # Assumes b - a >= 2, as for a FiniteArc, which the half-fans and bridge ask.
     if isinstance(g, Zigzag):
@@ -358,11 +351,6 @@ def _pairs_of_span(g: Generator, k: int) -> tuple[tuple[int, int], ...]:
     if k <= q - p:
         return (p - k, p), (p, p + k), (q, q + k)
     return (p - k, p), (q, q + k)
-
-
-def _members_of_span(g: Generator, k: int) -> list[FiniteArc]:
-    """The members of family g with span k >= 2, by left endpoint."""
-    return [FiniteArc(a, b) for a, b in _pairs_of_span(g, k)]
 
 
 def _crossing(i: int, j: int) -> Callable[[int, int], bool]:
@@ -430,7 +418,7 @@ def _materialize_generator(
     g: Generator, window: tuple[int, int]
 ) -> list[tuple[int, int]]:
     # The endpoint pairs of the members of g in the window, one branch
-    # per kind.  Written apart from _members_of_span and _feet: tests and
+    # per kind.  Written apart from _pairs_of_span and _feet: tests and
     # the acceptance suites check the closed forms against materialize.
     lo, hi = window
     if isinstance(g, Fan):
@@ -512,7 +500,7 @@ def noncrossing_check(
             return t1, next(t2 for t2 in ex if cross(t2.a, t2.b))
     for t in ex:
         for g in bigs:
-            w = None if _family_member(g, t) else _family_crossing_witness(g, t)
+            w = None if _is_member(g, t.a, t.b) else _family_crossing_witness(g, t)
             if w is not None:
                 return (t, w)
     for i, g1 in enumerate(bigs):
@@ -632,7 +620,7 @@ def maximality_check(
                     return AddableArc(FiniteArc(a, b))
         h = max((t.b for t in explicit), default=lo)
         return AddableArc(FiniteArc(h, h + 2))
-    if len(bigs) == 1 and all(_family_member(bigs[0], t) for t in explicit):
+    if len(bigs) == 1 and all(_is_member(bigs[0], t.a, t.b) for t in explicit):
         return CertifiedMaximal()
     return WindowVerified()
 
@@ -851,7 +839,7 @@ def strong_overarc(c: ArcConfiguration, target: Union[FiniteArc, int]) -> Finite
             raise _not_a("a FiniteArc or int target", "target", target, "strong_overarc")
         return _overarc(_locally_finite_zigzag(c), target, target)
     zig = _locally_finite_zigzag(c)
-    if not _family_member(zig, target):
+    if not _is_member(zig, target.a, target.b):
         raise ValueError(f"target arc {format_arc(target)} not in configuration")
     return _overarc(zig, target.a, target.b)
 
@@ -873,7 +861,7 @@ def overarc_antichain(
     if count < 0:
         raise ValueError("count must be >= 0")
     zig = _locally_finite_zigzag(c)
-    if not _family_member(zig, seed):
+    if not _is_member(zig, seed.a, seed.b):
         raise ValueError(f"seed arc {format_arc(seed)} not in configuration")
     chain: list[FiniteArc] = []
     cur = seed

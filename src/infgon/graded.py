@@ -30,16 +30,13 @@ theorem), so a transition flag, the composite criterion, is set where
 the row is plus at both ends.  A direct tower is one kernel call at any
 truncation.  So is an inverse tower: by Serre duality its probe is the
 twice downshifted target, and that one dual row gives both its dims
-and its flags.  The run also gives, in closed form, where the trailing
-constant runs of the dims and of the flags start; a built tower
-carries them, so truncated_colim and truncated_lim read its tail in
-constant time, with no scan.  A tower from the public constructor
-scans for them once, when it is made.  The nested tower reads the
-settling tail of an inner tower off one call, with no row, and finds
-the first outer stage whose tail has not settled in closed form: a
-call makes at most two kernel calls at any truncation.  Its gap guard
-is the outer tower's settledness rule, so its value is read off its
-last two dims.
+and its flags.  One closed form, _run_starts, gives from the run where
+the trailing constant runs of the dims and of the flags start; a built
+tower carries them, so its tail is read in constant time.  The nested
+tower builds no row: it finds in closed form the first outer stage
+whose inner tail has not settled and raises off that stage's run
+starts, or reads its last two inner colimits off their runs, at most
+two kernel calls at any truncation.
 """
 from __future__ import annotations
 
@@ -51,9 +48,11 @@ from typing import Optional, Sequence, Union
 from .quiver import (
     FiniteInd,
     IndObject,
+    PruferInd,
     _Value,
     _arc,
     _finite_arc,
+    _not_a,
     _region_run,
     _set,
 )
@@ -109,35 +108,42 @@ GradedModuleDescriptor = Union[FiniteCyclic, PolyFree, PruferMod]
 def f_image(x: IndObject) -> GradedModuleDescriptor:
     """Graded module attached to an indecomposable: a finite object of
     index n maps to a cyclic torsion module of length n + 1 at the same
-    shift; a limit object maps to the divisible module at its slot."""
+    shift; a limit object maps to the divisible module at its slot.
+    Raises TypeError when x is not a FiniteInd or PruferInd."""
     if isinstance(x, FiniteInd):
         return FiniteCyclic(x.shift, x.index + 1)
-    return PruferMod(x.slot)
+    if isinstance(x, PruferInd):
+        return PruferMod(x.slot)
+    raise _not_a("a FiniteInd or PruferInd x", "x", x, "f_image")
 
 
 def dual_descriptor(m: GradedModuleDescriptor) -> GradedModuleDescriptor:
-    """Graded dual.  Mirrors support through degree 0; an involution."""
+    """Graded dual.  Mirrors support through degree 0; an involution.
+    Raises TypeError when m is not a descriptor."""
     if isinstance(m, FiniteCyclic):
         return FiniteCyclic(-m.shift - m.length + 1, m.length)
     if isinstance(m, PolyFree):
         return PruferMod(-m.shift)
-    return PolyFree(-m.shift)
+    if isinstance(m, PruferMod):
+        return PolyFree(-m.shift)
+    raise _not_a("a GradedModuleDescriptor m", "m", m, "dual_descriptor")
 
 
 def degreewise_dims(m: GradedModuleDescriptor, degrees: tuple[int, int]) -> list[int]:
-    """Dimensions of the module in each degree of the inclusive range."""
+    """Dimensions of the module in each degree of the inclusive range.
+    Raises TypeError when m is not a descriptor."""
     lo, hi = degrees
     if lo > hi:
         raise ValueError(f"empty degree range {degrees}")
-
-    def dim_at(i: int) -> int:
-        if isinstance(m, FiniteCyclic):
-            return 1 if -m.shift - m.length + 1 <= i <= -m.shift else 0
-        if isinstance(m, PolyFree):
-            return 1 if i <= -m.shift else 0
-        return 1 if i >= -m.shift else 0
-
-    return [dim_at(i) for i in range(lo, hi + 1)]
+    if isinstance(m, FiniteCyclic):  # the support, clipped to the range
+        first, last = -m.shift - m.length + 1, -m.shift
+    elif isinstance(m, PolyFree):
+        first, last = lo, -m.shift
+    elif isinstance(m, PruferMod):
+        first, last = -m.shift, hi
+    else:
+        raise _not_a("a GradedModuleDescriptor m", "m", m, "degreewise_dims")
+    return [1 if first <= i <= last else 0 for i in range(lo, hi + 1)]
 
 
 class TowerDirection(Enum):
@@ -180,6 +186,8 @@ class HomTower(_Value):
         transition_nonzero: tuple[bool, ...],
         direction: TowerDirection,
     ) -> None:
+        if not isinstance(direction, TowerDirection):
+            raise _not_a("a TowerDirection direction", "direction", direction, "HomTower")
         # copied first, so later changes to a caller's lists cannot reach it
         dims, transition_nonzero = tuple(dims), tuple(transition_nonzero)
         if len(transition_nonzero) != len(dims) - 1:
@@ -219,15 +227,7 @@ def _check_ints(func: str, **args: object) -> None:
     # Only once an inline isinstance test fails: names the first non-int.
     for name, x in args.items():
         if not isinstance(x, int):
-            raise TypeError(f"{func} takes an int {name}, {name} is {type(x).__name__}")
-
-
-def _row(
-    y: tuple[int, int], m: int, n: int, count: int
-) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    # Dims and flags of Hom(y, stage_k) for the count stages with arcs
-    # (m, n + k).
-    return _run_row(*_region_run(*y, m, n, count), count)
+            raise _not_a(f"an int {name}", name, x, func)
 
 
 def _run_row(
@@ -244,6 +244,19 @@ def _run_row(
     return dims, (False,) * (count - 1 - true) + (True,) * true
 
 
+def _run_starts(region: Optional[str], lo: int, hi: int, count: int) -> tuple[int, int]:
+    # Where the trailing runs of the dims and the flags of a row start,
+    # from its kernel run.  The dims are 1 exactly on lo..hi: all 0 when
+    # the run is empty, a trailing run of 1s from lo when it reaches the
+    # last stage, else a trailing run of 0s from hi + 1.  The flags are
+    # t = hi - lo Trues after count - 1 - t Falses when the run is plus,
+    # no True otherwise: all False from 0 when t is 0, else the Trues
+    # from count - 1 - t, which is 0 when every flag is True.
+    t = hi - lo if region == "plus" and lo <= hi else 0
+    sd = 0 if lo > hi else lo if hi == count - 1 else hi + 1
+    return sd, count - 1 - t if t else 0
+
+
 def _slice_tower(
     y: tuple[int, int], slice_start: int, truncation: int, direction: TowerDirection
 ) -> HomTower:
@@ -251,22 +264,13 @@ def _slice_tower(
     # (-slice_start - 2, k - slice_start).  Dims are 0/1 and flags sit
     # between nonzero stages by construction: HomTower's checks are skipped.
     count = truncation + 1
-    region, lo, hi = _region_run(*y, *_arc(slice_start, 0), count)
-    dims, flags = _run_row(region, lo, hi, count)
-    # Where the trailing runs of the dims and the flags start, in closed
-    # form.  The dims are 1 exactly on lo..hi: all 0 when the run is
-    # empty, a trailing run of 1s from lo when it reaches the last stage,
-    # else a trailing run of 0s from hi + 1.  The flags are t = hi - lo
-    # Trues after count - 1 - t Falses when the run is plus, no True
-    # otherwise: all False from 0 when t is 0, else the Trues from
-    # count - 1 - t, which is 0 when every flag is True.
-    t = hi - lo if region == "plus" and lo <= hi else 0
-    sd = 0 if lo > hi else lo if hi == count - 1 else hi + 1
+    run = _region_run(*y, *_arc(slice_start, 0), count)
+    dims, flags = _run_row(*run, count)
     tower = object.__new__(HomTower)
     _set(tower, "dims", dims)
     _set(tower, "transition_nonzero", flags)
     _set(tower, "direction", direction)
-    _set(tower, "_starts", (sd, count - 1 - t if t else 0))
+    _set(tower, "_starts", _run_starts(*run, count))
     return tower
 
 
@@ -344,12 +348,10 @@ def _starts(dims: Sequence[int], flags: Sequence[bool]) -> tuple[int, int]:
 def _stable_split(count: int, starts: tuple[int, int]) -> int:
     # First index from which the dims and flags of a tower of count
     # stages, whose trailing runs start at starts, both sit at their
-    # final constant values; raises if the settled tail is shorter than
-    # a quarter of the truncation.
+    # final values.  Raises unless the last `quarter` entries and the
+    # last `quarter` of the count - 1 flags all lie in those runs.
     quarter = _quarter(count - 1)
     sd, sf = starts
-    # The last `quarter` entries and the last `quarter` flags (there are
-    # count - 1 flags) must all lie in the settled run.
     if sd > count - quarter or (count > 1 and sf > count - 1 - quarter):
         raise TowerUnstableError(
             f"tower tail not settled: needs {quarter} constant trailing "
@@ -358,38 +360,16 @@ def _stable_split(count: int, starts: tuple[int, int]) -> int:
     return max(sd, sf)
 
 
-def _tail_value(dims: Sequence[int], flags: Sequence[bool]) -> int:
-    if dims[-1] == 1 and (not flags or flags[-1]):
-        return 1
-    return 0
-
-
-def _settled_tail_value(region: Optional[str], lo: int, hi: int, q: int) -> Optional[int]:
-    # The colimit of an inner tower from the kernel run over its last
-    # q + 1 stages (q >= 2), or None when that tail has not settled.
-    # Over the tail the dims are 1 exactly on lo..hi, and the flags are
-    # set on lo..hi - 1 when the region is plus (a plus run reaches the
-    # last stage, hi == q) and never when it is minus.  _stable_split
-    # needs dims 1..q and all q flags constant: dims 1..q are all 0 when
-    # the run is empty or hi == 0, all 1 when lo <= 1 and hi == q, and
-    # then the flags are all False (minus) or all True (plus, lo == 0).
-    # _tail_value reads the last dim and flag: 1 when a plus run has a
-    # flag before its last stage.
-    if lo > hi or hi == 0 or (lo <= 1 and hi == q and (region == "minus" or lo == 0)):
-        return 1 if region == "plus" and lo < hi else 0
-    return None
-
-
 def _first_unsettled_stage(
     left: int, tm: int, tn: int, q: int, r0: int, r1: int
 ) -> Optional[int]:
     # The least r in r0..r1 whose inner tail _region_run(left, r, tm, tn,
-    # q + 1) has not settled by _settled_tail_value, else None.  Minus at
-    # every r when tm <= left - 2: lo is fixed, hi = min(r - 2 - tn, q)
-    # grows with r, unsettled while max(lo, 1) <= hi <= q - [lo <= 1].
-    # Plus from r = tm + 2 on when left <= tm, with lo = max(r - tn, 0)
-    # and hi = q: unsettled while 1 <= r - tn <= q.  No run at all when
-    # tm = left - 1.
+    # q + 1) has not settled, else None; settled means sd <= 1 and sf = 0
+    # by _run_starts, dims 1..q and all q flags constant.  Minus at every
+    # r when tm <= left - 2: lo is fixed, hi = min(r - 2 - tn, q) grows
+    # with r, unsettled while max(lo, 1) <= hi <= q - [lo <= 1].  Plus
+    # from r = tm + 2 on when left <= tm, with lo = max(r - tn, 0) and
+    # hi = q: unsettled while 1 <= r - tn <= q.  No run when tm = left - 1.
     if tm <= left - 2:
         lo = max(left - tn, 0)
         r = max(r0, tn + 2 + max(lo, 1))
@@ -405,14 +385,15 @@ def _first_unsettled_stage(
 def _read_tail(
     func: str, tower: object, direction: TowerDirection, kind: str
 ) -> tuple[int, int]:
-    # The value and stable_from of a tower of the given direction.
+    # The value and stable_from of a tower of the given direction: 1
+    # when the last dim is 1 and the last flag, if any, is set.
     if not isinstance(tower, HomTower):
         raise TypeError(f"{func} takes a HomTower, tower is {type(tower).__name__}")
     if tower.direction is not direction:
         raise ValueError(f"{func} needs {kind} tower")
     dims, flags = tower.dims, tower.transition_nonzero
     stable_from = _stable_split(len(dims), tower._starts)
-    return _tail_value(dims, flags), stable_from
+    return (1 if dims[-1] == 1 and (not flags or flags[-1]) else 0), stable_from
 
 
 def truncated_colim(tower: HomTower) -> TowerColimit:
@@ -454,14 +435,13 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     stable for outer stages near the end.
 
     An inner tower's settlement and value depend only on its last q =
-    ceil(truncation / 2) dims and flags, which one kernel call over its
-    last q + 1 stages gives, read in closed form with no row built.
-    Which outer stages have a tail that has not settled follows in
-    closed form from that call's case split, so no stage is scanned:
-    the first such inner tower is rebuilt in full, one call, so that it
-    raises exactly as truncated_colim would; otherwise the value is read
-    off the tails of the last two outer stages.  A call makes at most 2
-    kernel calls at any truncation.
+    ceil(truncation / 2) dims and flags, one kernel call over its last
+    q + 1 stages.  Which outer stages have an unsettled tail follows in
+    closed form from that call's case split: the first such stage raises
+    as truncated_colim would, off the run starts of its full inner
+    tower, one call; otherwise the value is read off the runs of the
+    last two outer stages.  No stage is scanned, no row is built, and a
+    call makes at most 2 kernel calls at any truncation.
 
     The gap guard is the outer tower's settledness rule.  When n <= m
     the outer dims are 0 before stage m - n and 1 from there on; when
@@ -496,14 +476,16 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     r = _first_unsettled_stage(left, tm, tn, q, -m, r1)
     if r is not None:
         # Not settled: the full inner tower raises with its own split.
-        dims, flags = _row((left, r), *_arc(n, 0), 2 * truncation + 1)
-        _stable_split(len(dims), _starts(dims, flags))
-    # Every outer step lies in the plus region, and the ladder of
-    # composites stage_j -> stage_{j+1} -> inner stage cannot turn a flag
-    # off: two inner colimits of 1 need rows j and j + 1 plus at both
-    # ends of every settled inner flag, wherever the ladder would read.
-    # So the last outer flag is set when the last two dims are 1, and
-    # the tower's value is that flag.
-    prev = _settled_tail_value(*_region_run(left, r1 - 1, tm, tn, q + 1), q)
-    last = _settled_tail_value(*_region_run(left, r1, tm, tn, q + 1), q)
-    return 1 if prev == last == 1 else 0
+        count = 2 * truncation + 1
+        _stable_split(count, _run_starts(*_region_run(left, r, *_arc(n, 0), count), count))
+    # Every tail has settled, so an inner colimit is 1 exactly when its
+    # run is plus and not empty.  Every outer step is plus, and the
+    # ladder of composites stage_j -> stage_{j+1} -> inner stage cannot
+    # turn a flag off: two inner colimits of 1 need rows j and j + 1 plus
+    # at both ends of every settled inner flag.  So the last outer flag,
+    # the tower's value, is set when the last two dims are 1.
+    for r in (r1 - 1, r1):
+        region, lo, hi = _region_run(left, r, tm, tn, q + 1)
+        if region != "plus" or lo > hi:
+            return 0
+    return 1

@@ -262,6 +262,10 @@ class Tristate(Enum):
     INDETERMINATE = "indeterminate"
 
 
+def _not_a(kinds: str, name: str, x: object, who: str) -> TypeError:
+    return TypeError(f"{who} takes {kinds}, {name} is {type(x).__name__}")
+
+
 def _not_finite(func: str, name: str, x: object) -> TypeError:
     return TypeError(
         f"{func} is defined for finite objects only, {name} is {type(x).__name__}"

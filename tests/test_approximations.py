@@ -7,6 +7,8 @@ the configuration's own limit object, slot = -1 is the trivially-zero
 case, and slot >= 0 needs a finite coslice target.
 """
 
+import re
+
 import pytest
 
 from infgon import quiver
@@ -313,6 +315,24 @@ class TestDirectSystems:
         )
         with pytest.raises(ValueError, match="leaves the quiver"):
             classify_direct_system(d2)
+
+    @pytest.mark.parametrize(
+        "start,moves,tail,name",
+        [
+            (FiniteInd(0, 2), ("up",), RidesSliceFrom(1), "moves[0]"),
+            (FiniteInd(0, 0), ("down",), ZigzagsForever(), "moves[0]"),
+            (FiniteInd(0, 1), (Move.DOWN, None), ZigzagsForever(), "moves[1]"),
+            (FiniteInd(0, 0), (), PruferLimit(3), "tail"),
+            (FiniteInd(0, 0), (), ZeroLimit(), "tail"),
+            ((0, 0), (), RidesSliceFrom(0), "start"),
+            ((0, 0), (Move.UP,), ZigzagsForever(), "start"),
+        ],
+    )
+    def test_type_error_names_the_field(self, start, moves, tail, name):
+        d = DirectSystemDescriptor(start, moves, tail)
+        want = rf"^classify_direct_system takes .*, {re.escape(name)} is "
+        with pytest.raises(TypeError, match=want):
+            classify_direct_system(d)
 
 
 class TestObjectArcAgreement:

@@ -503,11 +503,11 @@ class TestClosedForms:
     def test_match_materialize(self, g):
         lo, hi = window = (-14, 14)
         listed = set(materialize(cfg(g), window))
-        members = {t for t in window_arcs(lo, hi) if configurations._family_member(g, t)}
+        members = {t for t in window_arcs(lo, hi) if configurations._is_member(g, t.a, t.b)}
         assert members == listed
         for k in range(2, 8):
             of_span = sorted((t for t in listed if t.span == k), key=lambda t: t.a)
-            assert configurations._members_of_span(g, k) == of_span, k
+            assert configurations._pairs_of_span(g, k) == tuple((t.a, t.b) for t in of_span), k
 
 
 # The pairwise loops the crossing index replaced, kept verbatim as the
@@ -676,7 +676,7 @@ class TestBoundedWork:
                 if g1 != g2:
                     assert noncrossing_check(cfg(g1, g2)) is not None
             for arc in (FiniteArc(-30, -27), FiniteArc(1, 4), FiniteArc(-2, 40)):
-                if not configurations._family_member(g1, arc):
+                if not configurations._is_member(g1, arc.a, arc.b):
                     assert noncrossing_check(cfg(g1, Explicit([arc]))) is not None
         z = cfg(Zigzag(3))
         assert strong_overarc(z, FiniteArc(2, 4)) == FiniteArc(1, 5)
@@ -940,13 +940,13 @@ class TestStrongOverarc:
         else:
             target = p = q = c + pick
         over = strong_overarc(cfg(zig), target)
-        assert configurations._family_member(zig, over)
+        assert configurations._is_member(zig, over.a, over.b)
         assert over.a < p and q < over.b
         # the members form one nested chain, so no smaller member encloses
         # the target once the next smaller one does not
         if over.span > 2:
-            (below,) = configurations._members_of_span(zig, over.span - 1)
-            assert not (below.a < p and q < below.b)
+            ((a, b),) = configurations._pairs_of_span(zig, over.span - 1)
+            assert not (a < p and q < b)
 
     @pytest.mark.parametrize("target", [2.5, True, "3", None])
     def test_rejects_a_target_that_is_no_arc_or_int(self, target):

@@ -333,7 +333,7 @@ class TestPruferPruferTower:
     def test_kernel_reads_bounded_by_tail(self, run_calls, row_calls, gap, raises):
         # gap scaled from N = 60 to N = 30, 60 and 240: at most two kernel
         # runs at any N, over the last two outer stages; a tail that has
-        # not settled rebuilds its one full row, one run, to raise
+        # not settled raises off one run over all of its stages, no row
         for truncation in (30, 60, 240):
             run_calls.clear()
             row_calls.clear()
@@ -342,19 +342,16 @@ class TestPruferPruferTower:
             reads = (len(run_calls), len(row_calls))
             assert got == _value_or_error(nested_by_full_rows, scaled, 0, truncation)
             assert isinstance(got, tuple) == raises
-            assert reads == ((1, 1) if raises else (2, 0)), truncation
+            assert reads == ((1, 0) if raises else (2, 0)), truncation
 
     @pytest.mark.parametrize("gap,raises", [(6, False), (-60, True)])
     def test_settled_tails_build_no_row(self, run_calls, row_calls, gap, raises):
         # N = 60: every settled tail is read off the runs of the last two
-        # outer stages; the first tail that has not settled rebuilds its
-        # full inner row and raises there
+        # outer stages; the first tail that has not settled raises off the
+        # run starts of its full inner tower, with no row either way
         got = _value_or_error(prufer_prufer_tower, gap, 0, 60)
         assert isinstance(got, tuple) == raises
-        if raises:
-            assert len(row_calls) == 1
-        else:
-            assert (len(run_calls), len(row_calls)) == (2, 0)
+        assert (len(run_calls), len(row_calls)) == ((1, 0) if raises else (2, 0))
 
     def test_first_unsettled_stage_matches_scan(self):
         # the closed form against a scan of every outer stage's tail, for
@@ -367,14 +364,12 @@ class TestPruferPruferTower:
                 for tm in ends:
                     case = "minus" if tm <= left - 2 else "none" if tm == left - 1 else "plus"
                     for tn in ends:
-                        unsettled = [
-                            r
-                            for r in stages
-                            if graded._settled_tail_value(
-                                *graded._region_run(left, r, tm, tn, q + 1), q
-                            )
-                            is None
-                        ]
+                        unsettled = []
+                        for r in stages:
+                            run = graded._region_run(left, r, tm, tn, q + 1)
+                            dims, flags = graded._run_row(*run, q + 1)
+                            if len(set(dims[1:])) > 1 or len(set(flags)) > 1:
+                                unsettled.append(r)
                         for r0 in stages:
                             first = next((r for r in unsettled if r >= r0), 9)
                             ranges = range(r0, 9)
@@ -407,9 +402,11 @@ class TestPruferPruferTower:
         assert answers == {0, 1, "TowerUnstableError"}
 
     def test_tail_rule_matches_row_read(self):
-        # every run in a window of arcs and tail lengths, against the
-        # settledness and value _stable_split and _tail_value read off
-        # the rows, on q dims and q flags
+        # every run in a window of arcs and 3 to 12 stages: the closed-form
+        # run starts against a scan of the row, and on a settled tail (q
+        # dims and q flags constant, as _stable_split needs) the value
+        # truncated_colim reads off the row against the nested tower's read:
+        # 1 exactly when the run is plus and not empty
         seen = set()
         ends = range(-5, 6)
         for q in range(2, 12):
@@ -417,25 +414,31 @@ class TestPruferPruferTower:
                 for j in ends:
                     for m in ends:
                         for n in ends:
-                            dims, flags = graded._row((i, j), m, n, q + 1)
-                            settled = len(set(dims[1:])) <= 1 and len(set(flags)) <= 1
-                            want = graded._tail_value(dims, flags) if settled else None
-                            run = graded._region_run(i, j, m, n, q + 1)
-                            assert graded._settled_tail_value(*run, q) == want, (i, j, m, n, q)
-                            seen.add(want)
+                            region, lo, hi = run = graded._region_run(i, j, m, n, q + 1)
+                            dims, flags = graded._run_row(*run, q + 1)
+                            starts = graded._run_starts(*run, q + 1)
+                            assert starts == graded._starts(dims, flags), (i, j, m, n, q)
+                            if starts[0] <= 1 and starts[1] == 0:
+                                read = int(region == "plus" and lo <= hi)
+                                row = HomTower(dims, flags, TowerDirection.DIRECT)
+                                assert read == truncated_colim(row).value, (i, j, m, n, q)
+                            else:
+                                read = None
+                            seen.add(read)
+        # settled tails of value 0 and 1, and unsettled ones
         assert seen == {0, 1, None}
 
 
 @pytest.fixture
 def row_calls(monkeypatch):
     """The arguments of every full row graded builds, in order."""
-    calls, row = [], graded._row
+    calls, row = [], graded._run_row
 
     def counting_row(*args):
         calls.append(args)
         return row(*args)
 
-    monkeypatch.setattr(graded, "_row", counting_row)
+    monkeypatch.setattr(graded, "_run_row", counting_row)
     return calls
 
 
@@ -684,6 +687,10 @@ class TestArgumentTypes:
             (build_inverse_hom_tower, (FiniteInd(0, 1), None, 4), "slice_start"),
             (build_inverse_hom_tower, (FiniteInd(0, 1), 0, "4"), "truncation"),
             (build_inverse_hom_tower, (PruferInd(0), 0, 4), "target"),
+            (f_image, ("x",), "x"),
+            (dual_descriptor, ("x",), "m"),
+            (degreewise_dims, ("x", (0, 3)), "m"),
+            (HomTower, ((1, 1), (True,), "direct"), "direction"),
         ],
         ids=lambda v: getattr(v, "__name__", None) if callable(v) else None,
     )
