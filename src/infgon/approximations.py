@@ -19,7 +19,6 @@ colimit, a path that zigzags forever has colimit zero.
 """
 from __future__ import annotations
 
-from enum import Enum
 from typing import Optional, Union
 
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
@@ -30,7 +29,7 @@ from .configurations import (
     DEFAULT_WINDOW,
     _member_ends,
 )
-from .quiver import FiniteInd, IndObject, PruferInd, _Value, _hom_ends, _not_a, _set
+from .quiver import FiniteInd, IndObject, PruferInd, _Enum, _Value, _hom_ends, _not_a, _set
 
 __all__ = [
     "ApproximationKind",
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 
-class ApproximationKind(Enum):
+class ApproximationKind(_Enum):
     ZERO_SUFFICES = "ZeroSuffices"
     COSLICE_OBJECT = "CosliceObject"
     PRUFER_OBJECT = "PruferObject"
@@ -171,7 +170,7 @@ def approximation_report(
 # --- direct systems -------------------------------------------------------
 
 
-class Move(Enum):
+class Move(_Enum):
     """One step in the repetition quiver, read left to right.
 
     UP goes from (s, d) to (s-1, d+1); DOWN goes to (s-1, d-1) and needs

@@ -14,7 +14,6 @@ the region-based path in :mod:`infgon.quiver`.
 """
 from __future__ import annotations
 
-from enum import Enum
 from typing import Union
 
 from .quiver import (
@@ -22,6 +21,7 @@ from .quiver import (
     HomDim,
     IndObject,
     PruferInd,
+    _Enum,
     _Value,
     _new,
     _set,
@@ -82,7 +82,7 @@ def _not_arc(func: str, **args: object) -> TypeError:
     )
 
 
-class CrossResult(Enum):
+class CrossResult(_Enum):
     CROSS = "Cross"
     NO_CROSS = "NoCross"
     UNDEFINED_INFINITE_INFINITE = "UndefinedInfiniteInfinite"

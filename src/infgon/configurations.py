@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
 from .arcs import (
@@ -59,7 +58,7 @@ from .arcs import (
     arc_sort_key,
     format_arc,
 )
-from .quiver import _Value, _not_a, _set
+from .quiver import _Enum, _Value, _not_a, _set
 
 __all__ = [
     "Explicit",
@@ -628,13 +627,13 @@ def maximality_check(
 # --- classification -------------------------------------------------------
 
 
-class Verdict(Enum):
+class Verdict(_Enum):
     WCT_LOCALLY_FINITE = "WCT_LocallyFinite"
     CLUSTER_TILTING = "ClusterTilting"
     NOT_WCT = "NotWCT"
 
 
-class ReasonKind(Enum):
+class ReasonKind(_Enum):
     CERTIFIED = "certified"
     CROSSING_PAIR = "crossing_pair"
     ADDABLE_ARC = "addable_arc"

@@ -40,7 +40,6 @@ two kernel calls at any truncation.
 """
 from __future__ import annotations
 
-from enum import Enum
 from itertools import groupby
 from math import ceil
 from typing import Optional, Sequence, Union
@@ -49,6 +48,7 @@ from .quiver import (
     FiniteInd,
     IndObject,
     PruferInd,
+    _Enum,
     _Value,
     _arc,
     _finite_arc,
@@ -146,7 +146,7 @@ def degreewise_dims(m: GradedModuleDescriptor, degrees: tuple[int, int]) -> list
     return [1 if first <= i <= last else 0 for i in range(lo, hi + 1)]
 
 
-class TowerDirection(Enum):
+class TowerDirection(_Enum):
     DIRECT = "direct"
     INVERSE = "inverse"
 

@@ -26,20 +26,25 @@ criterion of composite_nonzero.  The truncated towers in `graded` call
 its row form _region_run, which tests/test_quiver.py::TestRegionRun
 pins to _region.
 
-hom_dim and ext_dim answer on one flat path per pair of kinds: the arc
-endpoints are read inline, the kernel _region is called once with four
-ints, or a wedge or slot comparison decides for a limit object, and
-one flat HomDim is built in place, without the checks of its public
-constructor; its HomWitness is built only when read.
-arcs.ext_via_crossing builds its answer the same way.  _hom_ends states
-the same four rules on arc endpoints alone, for callers that hold arcs
-and need no witness.
+hom_dim and ext_dim are one frame each, made by _hom_answer: the arc
+endpoints are read inline, the kernel _region is called once, or a
+wedge or slot comparison decides for a limit object, and one flat
+HomDim is built in place, unchecked; its HomWitness is built only when
+read.  arcs.ext_via_crossing answers the same way.  Record fields and
+every Enum's .value are read by C getters.  _hom_ends states the same
+four rules on arc endpoints alone, for callers that hold arcs and need
+no witness.
 """
 from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Optional, Union
+
+try:
+    from _collections import _tuplegetter
+except ImportError:  # as collections does without its C module
+    _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
 
 __all__ = [
     "FiniteInd",
@@ -70,7 +75,8 @@ class _Record(tuple):
     Unlike a slot class it costs one tuple allocation to build.  A
     record equals only another record of the same type, never a plain
     tuple, and hashes like the tuple of its fields.  Subclasses name
-    their fields in __match_args__ and take them as arguments of __new__.
+    their fields in __match_args__, take them in __new__ and read them
+    through _tuplegetter, the read-only C field getter of namedtuple.
     """
 
     __slots__ = ()
@@ -178,7 +184,13 @@ class PruferInd(_Value):
 IndObject = Union[FiniteInd, PruferInd]
 
 
-class RegionPart(Enum):
+class _Enum(Enum):
+    """Every Enum of the package: .value reads _value_ in C, not in enum.property."""
+
+    value = property(attrgetter("_value_"))
+
+
+class RegionPart(_Enum):
     """Which of the two nonzero-map regions to test."""
 
     MINUS = "minus"
@@ -203,9 +215,9 @@ class HomWitness(_Record):
     def __new__(cls, rule: str, region: Optional[str], params: tuple) -> HomWitness:
         return tuple.__new__(cls, (rule, region, params))
 
-    rule = property(itemgetter(0))
-    region = property(itemgetter(1))
-    params = property(itemgetter(2))
+    rule = _tuplegetter(0, "the membership rule that decided")
+    region = _tuplegetter(1, '"minus", "plus" or None')
+    params = _tuplegetter(2, "the solved parameters of the rule")
 
 
 class HomDim(_Record):
@@ -227,7 +239,7 @@ class HomDim(_Record):
             )
         return tuple.__new__(cls, (value, *witness))
 
-    value = property(itemgetter(0))
+    value = _tuplegetter(0, "the dimension, 0 or 1")
 
     @property
     def witness(self) -> HomWitness:
@@ -249,7 +261,7 @@ class HomDim(_Record):
 _new = tuple.__new__
 
 
-class Tristate(Enum):
+class Tristate(_Enum):
     """Outcome of the composite-nonvanishing test.
 
     TRUE: the sufficient criterion certifies a nonzero composite.
@@ -368,38 +380,42 @@ def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bo
     )
 
 
-def _hom_dim(func: str, a: IndObject, b: IndObject, t: int) -> HomDim:
-    # Hom(a, Sigma^t b), with the witness of the rule that decided it.
-    if isinstance(b, FiniteInd):
-        shift = b.shift + t
-        if isinstance(a, FiniteInd):
-            n = -shift
-            m = n - b.index - 2
-            j = -a.shift
-            region = _region(j - a.index - 2, j, m, n)
-            return _new(HomDim, (0 if region is None else 1, "finite-finite", region, (m, n)))
-        if isinstance(a, PruferInd):
-            base = a.slot + 2
-            j = base - shift
-            k = b.index
-            return _new(HomDim, (1 if 0 <= j <= k else 0, "prufer-finite", None, (base, j, k)))
-    elif isinstance(b, PruferInd):
-        slot = b.slot + t
-        if isinstance(a, FiniteInd):
-            j = slot - a.shift
-            k = a.index
-            return _new(HomDim, (1 if 0 <= j <= k else 0, "finite-prufer", None, (slot, j, k)))
-        if isinstance(a, PruferInd):
-            m = a.slot
-            return _new(HomDim, (1 if slot <= m else 0, "prufer-prufer", None, (m, slot)))
-    name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
-    raise TypeError(
-        f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"
-    )
+def _hom_answer(func: str, t: int):
+    # The function func(a, b): Hom(a, Sigma^t b), with the witness of the rule that decided it.
+    def answer(a: IndObject, b: IndObject) -> HomDim:
+        if isinstance(b, FiniteInd):
+            shift = b.shift + t
+            if isinstance(a, FiniteInd):
+                n = -shift
+                m = n - b.index - 2
+                j = -a.shift
+                region = _region(j - a.index - 2, j, m, n)
+                return _new(HomDim, (0 if region is None else 1, "finite-finite", region, (m, n)))
+            if isinstance(a, PruferInd):
+                base = a.slot + 2
+                j = base - shift
+                k = b.index
+                return _new(HomDim, (1 if 0 <= j <= k else 0, "prufer-finite", None, (base, j, k)))
+        elif isinstance(b, PruferInd):
+            slot = b.slot + t
+            if isinstance(a, FiniteInd):
+                j = slot - a.shift
+                k = a.index
+                return _new(HomDim, (1 if 0 <= j <= k else 0, "finite-prufer", None, (slot, j, k)))
+            if isinstance(a, PruferInd):
+                m = a.slot
+                return _new(HomDim, (1 if slot <= m else 0, "prufer-prufer", None, (m, slot)))
+        name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
+        raise TypeError(
+            f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"
+        )
+
+    answer.__name__ = answer.__qualname__ = func
+    return answer
 
 
-def hom_dim(a: IndObject, b: IndObject) -> HomDim:
-    """Dimension of Hom(a, b) with a witness for the rule that decided it.
+hom_dim = _hom_answer("hom_dim", 0)
+hom_dim.__doc__ = """Dimension of Hom(a, b) with a witness for the rule that decided it.
 
     Four cases by the kinds of a and b:
 
@@ -410,12 +426,8 @@ def hom_dim(a: IndObject, b: IndObject) -> HomDim:
 
     Raises TypeError when an argument is not a FiniteInd or PruferInd.
     """
-    return _hom_dim("hom_dim", a, b, 0)
-
-
-def ext_dim(a: IndObject, b: IndObject) -> HomDim:
-    """Dimension of Ext(a, b), computed as Hom(a, shift_object(b, 1))."""
-    return _hom_dim("ext_dim", a, b, 1)
+ext_dim = _hom_answer("ext_dim", 1)
+ext_dim.__doc__ = """Dimension of Ext(a, b), computed as Hom(a, shift_object(b, 1))."""
 
 
 def composite_nonzero(u: FiniteInd, v: FiniteInd, w: FiniteInd) -> Tristate:

@@ -7,7 +7,10 @@ objects) so the two directions validate each other.
 """
 
 import copy
+import inspect
 import pickle
+import sys
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +182,78 @@ class TestRecords:
                 assert (rule, params) == ("prufer-prufer", (3, 1))
             case _:
                 pytest.fail("positional pattern did not match")
+
+
+class TestFastReads:
+    """Record fields are namedtuple's C getters, and each answer runs in
+    one frame of a function that keeps its public name, doc and
+    signature."""
+
+    @pytest.mark.parametrize("d,_", RECORD_REPRS)
+    def test_field_reads_equal_indices(self, d, _):
+        w = d.witness
+        assert d.value == d[0] and type(d.value) is int
+        assert (w.rule, w.region, w.params) == (w[0], w[1], w[2]) == tuple(d[1:])
+
+    @pytest.mark.parametrize("d,_", RECORD_REPRS)
+    def test_match_destructuring(self, d, _):
+        match d:
+            case HomDim(value, HomWitness(rule, region, params)):
+                assert (value, rule, region, params) == tuple(d)
+            case _:
+                pytest.fail("positional pattern did not match")
+        match d.witness:
+            case HomWitness(rule=rule, region=region, params=params):
+                assert (rule, region, params) == tuple(d[1:])
+            case _:
+                pytest.fail("keyword pattern did not match")
+
+    def test_fields_use_the_namedtuple_getter(self):
+        getter = type(vars(namedtuple("Pair", "x y"))["x"])
+        for cls, names in ((HomDim, ("value",)), (HomWitness, ("rule", "region", "params"))):
+            for name in names:
+                assert type(vars(cls)[name]) is getter, (cls, name)
+
+    @pytest.mark.parametrize("func,name", [(hom_dim, "hom_dim"), (ext_dim, "ext_dim")])
+    def test_public_name_doc_and_signature(self, func, name):
+        assert func.__name__ == func.__qualname__ == name
+        assert func.__module__ == "infgon.quiver" and getattr(quiver, name) is func
+        assert list(inspect.signature(func).parameters) == ["a", "b"]
+        assert not hasattr(quiver, "_hom_dim")
+
+    def test_docstrings(self):
+        assert hom_dim.__doc__.startswith(
+            "Dimension of Hom(a, b) with a witness for the rule that decided it."
+        )
+        assert "limit m, limit n: 1 iff n <= m" in hom_dim.__doc__
+        assert ext_dim.__doc__ == (
+            "Dimension of Ext(a, b), computed as Hom(a, shift_object(b, 1))."
+        )
+
+    @pytest.mark.parametrize(
+        "a,b,kernel",
+        [
+            (FiniteInd(0, 3), FiniteInd(3, 3), ["_region"]),
+            (FiniteInd(1, 2), PruferInd(2), []),
+            (PruferInd(1), FiniteInd(-2, 1), []),
+            (PruferInd(3), PruferInd(1), []),
+        ],
+    )
+    def test_one_frame_per_answer(self, a, b, kernel):
+        # the function's own frame, then only the kernel's
+        for func in (hom_dim, ext_dim):
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls.append(frame.f_code.co_name)
+
+            sys.setprofile(profile)
+            try:
+                func(a, b).value
+            finally:
+                sys.setprofile(None)
+            assert calls == [func.__code__.co_name, *kernel], func.__name__
 
 
 class TestShift:
@@ -674,6 +749,30 @@ class TestCompositeNonzero:
                             composite_nonzero(y, stages[i], stages[i + 1])
                             is Tristate.TRUE
                         )
+
+    def test_plus_minus_plus_is_not_true(self):
+        # regions u->v, v->w, u->w read plus, minus, plus: the criterion
+        # needs v->w in plus too, and the graded reading calls these zero
+        u, v, w = FiniteInd(-2, 3), FiniteInd(-4, 2), FiniteInd(-2, 2)
+        ends = [_arc(x.shift, x.index) for x in (u, v, w)]
+        assert [_region(*ends[p], *ends[q]) for p, q in ((0, 1), (1, 2), (0, 2))] == [
+            "plus", "minus", "plus"
+        ]
+        assert composite_nonzero(u, v, w) is not Tristate.TRUE
+
+    def test_never_true_through_minus(self):
+        objs = [FiniteInd(s, i) for s in range(-4, 5) for i in range(6)]
+        ends = {x: _arc(x.shift, x.index) for x in objs}
+        through_minus = 0
+        for u in objs:
+            for v in objs:
+                if _region(*ends[u], *ends[v]) is None:
+                    continue
+                for w in objs:
+                    if _region(*ends[v], *ends[w]) == "minus":
+                        through_minus += 1
+                        assert composite_nonzero(u, v, w) is not Tristate.TRUE, (u, v, w)
+        assert through_minus > 1000
 
     @given(finite_objects, finite_objects, finite_objects)
     @settings(max_examples=300)

@@ -13,6 +13,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+from enum import Enum
 
 import pytest
 
@@ -55,7 +56,7 @@ from infgon.graded import (
     TowerDirection,
     TowerLimit,
 )
-from infgon.quiver import FiniteInd, PruferInd, _Value
+from infgon.quiver import FiniteInd, PruferInd, _Enum, _Value
 
 _REASON = Reason(
     ReasonKind.FOUNTAIN_MISMATCH,
@@ -289,6 +290,53 @@ def test_one_value_protocol():
         if cls.__eq__ is not _Value.__eq__ or cls.__hash__ is not _Value.__hash__
     ]
     assert overriding == []
+
+
+def _package_enums():
+    for info in pkgutil.walk_packages(infgon.__path__, "infgon."):
+        importlib.import_module(info.name)
+    found = [cls for cls in _subclasses(Enum) if cls.__module__.startswith("infgon.")]
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+ENUMS = [cls for cls in _package_enums() if cls is not _Enum]
+MEMBERS = [m for cls in ENUMS for m in cls]
+
+
+def test_every_enum_found():
+    assert {cls.__name__ for cls in ENUMS} == {
+        "RegionPart", "Tristate", "CrossResult", "Verdict", "ReasonKind",
+        "ApproximationKind", "Move", "TowerDirection",
+    }
+
+
+@pytest.mark.parametrize("cls", ENUMS, ids=lambda cls: cls.__name__)
+def test_enum_value_resolves_from_private_base(cls):
+    # .value is _Enum's C getter, not the Python enum.property of Enum
+    owner = next(c for c in cls.__mro__ if "value" in vars(c))
+    assert owner is _Enum and _Enum.__bases__ == (Enum,)
+    assert type(vars(_Enum)["value"]) is property
+
+
+@pytest.mark.parametrize("m", MEMBERS, ids=repr)
+class TestEnumMembers:
+    def test_value_and_lookup(self, m):
+        cls = type(m)
+        assert m.value == m._value_ and cls(m.value) is m
+        assert cls[m.name] is m and getattr(cls, m.name) is m
+        assert repr(m) == f"<{cls.__name__}.{m.name}: {m._value_!r}>"
+
+    def test_copy_deepcopy_pickle_keep_identity(self, m):
+        assert copy.copy(m) is m and copy.deepcopy(m) is m
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) is m
+
+    def test_value_is_read_only(self, m):
+        with pytest.raises(AttributeError):
+            m.value = "other"
+        with pytest.raises(AttributeError):
+            del m.value
+        assert m.value == m._value_
 
 
 class TestDerivedCrossingIndex:
