@@ -219,7 +219,6 @@ class TestFastReads:
         assert func.__name__ == func.__qualname__ == name
         assert func.__module__ == "infgon.quiver" and getattr(quiver, name) is func
         assert list(inspect.signature(func).parameters) == ["a", "b"]
-        assert not hasattr(quiver, "_hom_dim")
 
     def test_docstrings(self):
         assert hom_dim.__doc__.startswith(

@@ -318,7 +318,7 @@ def test_enum_value_resolves_from_private_base(cls):
     assert type(vars(_Enum)["value"]) is property
 
 
-@pytest.mark.parametrize("m", MEMBERS, ids=repr)
+@pytest.mark.parametrize("m", MEMBERS, ids=lambda m: f"{type(m).__name__}.{m.name}")
 class TestEnumMembers:
     def test_value_and_lookup(self, m):
         cls = type(m)
