@@ -161,6 +161,9 @@ def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
             if got != want:
                 return False, n, f"lim mismatch at {y}, slot {slot}"
             n += 1
+            if got != hom_dim(PruferInd(slot), y).value:
+                return False, n, f"lim against hom_dim mismatch at {y}, slot {slot}"
+            n += 1
     return True, n, f"limits against wedge membership, dims against hom_dim, N={truncation}"
 
 
@@ -175,6 +178,9 @@ def suite_prufer_prufer_tower(truncation: int = 30) -> tuple[bool, int, str]:
             want = 1 if s <= m else 0
             if got != want:
                 return False, n, f"double tower mismatch at ({m}, {s})"
+            n += 1
+            if got != hom_dim(PruferInd(m), PruferInd(s)).value:
+                return False, n, f"double tower against hom_dim mismatch at ({m}, {s})"
             n += 1
     return True, n, f"nested limit-to-limit towers, truncation {truncation}"
 

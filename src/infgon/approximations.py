@@ -9,7 +9,9 @@ fountain.  `approximation_report` returns the shape plus a window
 inventory: which configuration members with a nonzero map to the object
 are covered by the chosen target.  The endpoint rules of the hom kernel
 decide both maps on the arcs of the member, the object and the target,
-without building an object per member.
+without building an object per member, and once per run of members
+between fixed cuts, so a report makes a fixed number of kernel calls at
+any window width.
 
 `classify_direct_system` computes the homotopy colimit of a one-way
 infinite path in the repetition quiver described by a finite prefix of
@@ -19,16 +21,11 @@ colimit, a path that zigzags forever has colimit zero.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Union
 
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
-from .configurations import (
-    ArcConfiguration,
-    Verdict,
-    classify,
-    DEFAULT_WINDOW,
-    _member_ends,
-)
+from .configurations import ArcConfiguration, Verdict, classify, DEFAULT_WINDOW
 from .quiver import FiniteInd, IndObject, PruferInd, _Enum, _Value, _hom_ends, _not_a, _set
 
 __all__ = [
@@ -104,6 +101,20 @@ def approximation_report(
     exceptions (a finite leftover is the point of "almost").  The
     endpoint rules of quiver._hom_ends decide both homs on the arcs of t,
     d and the target, the rules hom_dim reads off the objects.
+
+    classify certifies c as the fan at f: one family Fan(f) or
+    SplitFan(f, f), every explicit arc a member, one ray at f.  So the
+    window members are the side (a, f) for lo <= a <= f-2, the side
+    (f, b) for f+2 <= b <= hi, and the ray at f, or none when f lies
+    outside the window.  Along a side one end v of the member moves and
+    the other stays at f, and every rule compares v with an end x of d
+    or of the target as v <= x or v >= x + 2, or not at all.  So both
+    homs change value only where v passes a cut x + e, e in 1..2, and
+    cutting at e in 0..3 keeps a margin.  One _hom_ends call per run
+    between cuts, and one more to a coslice target when the run maps to
+    d, puts the run's arcs whole into handled or exceptions; at most
+    four ends make at most 16 cuts, so a report makes a fixed number of
+    kernel calls at any window width.
     """
     cls = classify(c, window)
     if cls.verdict is not Verdict.CLUSTER_TILTING:
@@ -141,21 +152,34 @@ def approximation_report(
         ti, tj = -n - kt, -n - 2
         target = arc_to_object(FiniteArc(ti, tj))
 
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty window {window}")
     # A member with a nonzero map to d is handled when the target is the
     # limit object and the member is that object or on the slice out of
-    # f, or when the target is a coslice member it maps to.
+    # f, or when the target is a coslice member it maps to.  Each run of
+    # a side between cuts is decided at its first arc.
     zero = kind is ApproximationKind.ZERO_SUFFICES
     prufer = kind is ApproximationKind.PRUFER_OBJECT
     handled: list[Arc] = []
     exceptions: list[Arc] = []
-    pairs, rays = _member_ends(c, window)
-    for a, b in pairs:
-        if _hom_ends(a, b, di, dj):
-            covered = not zero and (a == f if prufer else _hom_ends(a, b, ti, tj))
-            (handled if covered else exceptions).append(FiniteArc(a, b))
-    for m in rays:
-        if _hom_ends(m, None, di, dj):
-            (handled if prufer else exceptions).append(InfiniteArc(m))
+    if lo <= f <= hi:
+        cuts = {x + e for x in (di, dj, ti, tj) if x is not None for e in range(4)}
+        for first, last, left in ((lo, f - 2, True), (f + 2, hi, False)):
+            if first > last:
+                continue
+            bounds = sorted({first, last + 1, *(x for x in cuts if first < x <= last)})
+            for s, e in zip(bounds, bounds[1:]):
+                a, b = (s, f) if left else (f, s)
+                if _hom_ends(a, b, di, dj):
+                    covered = not zero and (a == f if prufer else _hom_ends(a, b, ti, tj))
+                    (handled if covered else exceptions).extend(
+                        map(FiniteArc, range(s, e), repeat(f))
+                        if left
+                        else map(FiniteArc, repeat(f), range(s, e))
+                    )
+        if _hom_ends(f, None, di, dj):
+            (handled if prufer else exceptions).append(InfiniteArc(f))
     return ApproximationReport(
         kind=kind,
         target=target,

@@ -16,8 +16,9 @@ Fan and SplitFan keep their feet, (v, v) and (p, q), in a derived slot
 two: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
 Fan(0) gives (0, 2), not the split fan's least member (-2, 0)), and
 materialize, which tests check the closed forms against.  materialize
-sorts the endpoint pairs of the members in its window, one branch per
-kind; diagram and approximations build arcs only for what they return.
+lists the endpoint pairs of the members in its window, one branch per
+kind, in sorted runs that one sort merges, dropping the pairs two
+sources share; diagram builds arcs only for what it draws.
 
 A configuration is normalized once, when it is built: its Explicit sets
 merge into one, and a repeated family, SplitFan(m, m) counting as
@@ -233,7 +234,11 @@ class FountainFlags(NamedTuple):
     right: bool
 
 
-_NO_FOUNTAIN = FountainFlags(False, False)
+# The four FountainFlags values, built once for fountain_profile.
+_FLAGS = {
+    (left, right): FountainFlags(left, right) for left in (False, True) for right in (False, True)
+}
+_NO_FOUNTAIN = _FLAGS[False, False]
 
 
 # --- configuration file format -------------------------------------------
@@ -444,13 +449,17 @@ def _materialize_generator(
 
 def _member_ends(c: ArcConfiguration, window: tuple[int, int]) -> tuple[list, list]:
     # materialize without the arcs: its sorted endpoint pairs and ray ends.
+    # Each source lists distinct pairs in sorted runs, which one sort
+    # merges; a pair repeats only across sources.
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    ends = {(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi}
+    pairs = [(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi]
+    sources = len(c._families) + bool(pairs)
     for g in c._families:
-        ends.update(_materialize_generator(g, window))
-    return sorted(ends), [m for m in c.infinite_arcs if lo <= m <= hi]
+        pairs += _materialize_generator(g, window)
+    rays = [m for m in c.infinite_arcs if lo <= m <= hi]
+    return sorted(set(pairs)) if sources > 1 else sorted(pairs), rays
 
 
 def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
@@ -527,7 +536,7 @@ def fountain_profile(c: ArcConfiguration) -> dict[int, FountainFlags]:
 
     def add(v: int, left: bool, right: bool) -> None:
         old = profile.get(v, _NO_FOUNTAIN)
-        profile[v] = FountainFlags(old.left or left, old.right or right)
+        profile[v] = _FLAGS[old.left or left, old.right or right]
 
     for g in c._families:
         if isinstance(g, Zigzag):

@@ -55,8 +55,10 @@ def render_svg(
     lbl_y = f'" y="{base + 18}">'
     for v in range(lo, hi + 1):
         xv = off + v * UNIT
-        parts.append(f'<line class="tick" x1="{xv}{tick_y}{xv}{tick_end}')
-        parts.append(f'<text class="lbl" x="{xv}{lbl_y}{v}</text>')
+        parts.append(
+            f'<line class="tick" x1="{xv}{tick_y}{xv}{tick_end}\n'
+            f'<text class="lbl" x="{xv}{lbl_y}{v}</text>'
+        )
     for a, b in pairs:
         r = (b - a) * UNIT // 2
         cls = "arc crossing" if (a, b) in crossing else "arc"

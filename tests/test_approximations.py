@@ -11,8 +11,10 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infgon import quiver
+from infgon import approximations, quiver
 from infgon import (
     ApproximationKind,
     ApproximationReport,
@@ -275,6 +277,57 @@ class TestEndpointReport:
         assert quiver.hom_dim is no_hom and quiver.ext_dim is no_hom
         for d, r in want.items():
             assert approximation_report(FAN_CT, d) == r
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([-(10**6), 10**6]),
+        st.integers(-50, 50),
+        st.integers(0, 3),
+        st.integers(-3, 3) | st.integers(-30, 6),
+        st.integers(0, 36),
+        st.data(),
+    )
+    def test_matches_the_object_loop_far_out(self, big, shift, which, start, width, data):
+        # f near +-10**6, windows around f: some miss f, some are one vertex
+        f = big + shift
+        c = list(cluster_tilting(f))[which]
+        lo = f + start
+        window = (lo, lo + width)
+        if data.draw(st.booleans()):
+            d = PruferInd(-f - 2 + data.draw(st.integers(-5, 6)))
+        else:
+            a = f + data.draw(st.integers(-16, 6))
+            d = arc_to_object(FiniteArc(a, a + data.draw(st.integers(2, 24))))
+        assert approximation_report(c, d, window) == report_by_objects(c, d, window)
+
+    def test_kernel_calls_do_not_grow_with_the_window(self, monkeypatch):
+        # a report decides each run of a side with one or two kernel calls
+        calls = []
+        hom_ends = approximations._hom_ends
+
+        def counted(*args):
+            calls.append(args)
+            return hom_ends(*args)
+
+        monkeypatch.setattr(approximations, "_hom_ends", counted)
+        objects = (
+            arc_to_object(FiniteArc(-6, 2)),
+            arc_to_object(FiniteArc(-2, 0)),
+            PruferInd(-5),
+            PruferInd(-2),
+            PruferInd(-1),
+            PruferInd(3),
+        )
+        for d in objects:
+            counts, sizes = [], []
+            for w in (20, 200, 2000):
+                calls.clear()
+                r = approximation_report(FAN_CT, d, (-w, w))
+                counts.append(len(calls))
+                sizes.append(len(r.handled) + len(r.exceptions))
+            assert counts[0] == counts[1] == counts[2], (d, counts)
+            # the inventory grows with the window, unless no member maps to d
+            assert sizes == [0, 0, 0] or sizes[0] < sizes[1] < sizes[2], (d, sizes)
 
     def test_errors_kept(self):
         with pytest.raises(TypeError, match="object_to_arc takes"):

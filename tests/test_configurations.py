@@ -275,6 +275,49 @@ class TestMaterializeEndpoints:
             materialize(cfg(Fan(0)), (1, 0))
 
 
+def listed_ends(c, window):
+    # sorted(set(...)) of every source's listing: the explicit pairs in
+    # the window and each family's _materialize_generator run
+    lo, hi = window
+    ends = {(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi}
+    for g in c._families:
+        ends.update(configurations._materialize_generator(g, window))
+    return sorted(ends), [m for m in c.infinite_arcs if lo <= m <= hi]
+
+
+class TestMemberEnds:
+    """_member_ends sorts one list of the sources' runs and drops the
+    pairs two sources share; it equals sorted(set(...)) of the listings."""
+
+    @pytest.mark.parametrize(
+        "c,window",
+        [
+            # two families that share the members ending at 0
+            (cfg(Fan(0), SplitFan(0, 3)), (-6, 9)),
+            (cfg(SplitFan(0, 3), Fan(0), inf=[0]), (-2, 5)),
+            # explicit arcs equal to fan members
+            (cfg(Fan(0), Explicit({FiniteArc(-3, 0), FiniteArc(0, 4)})), (-5, 5)),
+            (cfg(Explicit({FiniteArc(0, 2), FiniteArc(-4, 0)}), Fan(0), inf=[0]), (-4, 2)),
+            # explicit arcs across a window edge, beside the fan and alone
+            (cfg(Fan(0), Explicit({FiniteArc(-7, 0), FiniteArc(0, 8), FiniteArc(-2, 0)})), (-5, 5)),
+            (cfg(Explicit({FiniteArc(-7, -2), FiniteArc(-5, 1), FiniteArc(3, 9)})), (-5, 5)),
+            # a lone zigzag lists descending runs
+            (cfg(Zigzag(1)), (-8, 9)),
+            (cfg(Zigzag(1), inf=[1]), (0, 3)),
+            (cfg(SplitFan(-2, 3)), (-6, 7)),
+        ],
+    )
+    def test_matches_sorted_set_of_the_listings(self, c, window):
+        pairs, rays = configurations._member_ends(c, window)
+        assert (pairs, rays) == listed_ends(c, window)
+        assert len(pairs) == len(set(pairs))
+
+    def test_empty_window_raises(self):
+        for c in (cfg(Fan(0), SplitFan(0, 3)), cfg(Zigzag(0)), cfg(Explicit(set()))):
+            with pytest.raises(ValueError, match="empty window"):
+                configurations._member_ends(c, (1, 0))
+
+
 class TestNoncrossing:
     def test_fan_with_matching_infinite_arc(self):
         assert noncrossing_check(cfg(Fan(0), inf=[0])) is None
