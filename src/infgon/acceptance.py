@@ -59,6 +59,7 @@ from .quiver import (
     _Value,
     _region,
     _set,
+    ext_dim,
     hom_dim,
     shift_object,
     wedge_contains,
@@ -89,7 +90,8 @@ def _finite_arcs(lo: int, hi: int) -> list[FiniteArc]:
 def suite_crossing_ext_bridge() -> tuple[bool, int, str]:
     # Ext(x, y) = Hom(x, Sigma y) on the hom kernel, where Sigma moves an
     # arc by -1, against the plain crossing test; neither side calls the
-    # other.
+    # other.  Over a smaller window ext_dim answers on the objects, so
+    # the arc ends they carry are checked too.
     arcs = _finite_arcs(-25, 25)
     up = [(y.a - 1, y.b - 1) for y in arcs]
     n = 0
@@ -98,6 +100,13 @@ def suite_crossing_ext_bridge() -> tuple[bool, int, str]:
         for y, (m, k) in zip(arcs, up):
             if (arcs_cross(x, y) is _CROSS) is (_region(i, j, m, k) is None):
                 return False, n, f"mismatch at {x}, {y}"
+            n += 1
+    near = _finite_arcs(-10, 10)
+    objs = [arc_to_object(t) for t in near]
+    for x, a in zip(near, objs):
+        for y, b in zip(near, objs):
+            if (arcs_cross(x, y) is _CROSS) is not (ext_dim(a, b).value == 1):
+                return False, n, f"ext_dim mismatch at {x}, {y}"
             n += 1
     return True, n, f"{len(arcs)} arcs, every ordered pair"
 
@@ -183,6 +192,111 @@ def suite_prufer_prufer_tower(truncation: int = 30) -> tuple[bool, int, str]:
                 return False, n, f"double tower against hom_dim mismatch at ({m}, {s})"
             n += 1
     return True, n, f"nested limit-to-limit towers, truncation {truncation}"
+
+
+def _trailing(seq: list) -> int:
+    # Where the trailing run of entries equal to the last one starts.
+    k = len(seq) - 1
+    while k > 0 and seq[k - 1] == seq[-1]:
+        k -= 1
+    return k
+
+
+def _tail_read(dims: list, flags: list, truncation: int):
+    # The (value, stable_from) of a tower, or None where it must raise:
+    # the last ceil(N / 4) entries, at least one, and as many of the
+    # flags must lie in the trailing runs.  The value is 1 when the last
+    # entry is 1 and the last flag, if any, is set.
+    quarter = max(1, (truncation + 3) // 4)
+    sd = _trailing(dims)
+    sf = _trailing(flags) if flags else 0
+    if sd > len(dims) - quarter or (flags and sf > len(flags) - quarter):
+        return None
+    return (1 if dims[-1] == 1 and (not flags or flags[-1]) else 0), max(sd, sf)
+
+
+def _plus_steps(answers: list) -> list[bool]:
+    # Flag k of a row of hom_dim answers: the composite criterion, the
+    # row in the plus region at stages k and k + 1.
+    plus = [d.witness.region == "plus" for d in answers]
+    return [p and q for p, q in zip(plus, plus[1:])]
+
+
+def _built(tower: object, read: Callable) -> tuple:
+    # The dims, the flags and the (value, stable_from) read of a built
+    # tower, the read None when it raises.
+    try:
+        got = read(tower)
+    except TowerUnstableError:
+        return tower.dims, tower.transition_nonzero, None
+    return tower.dims, tower.transition_nonzero, (got.value, got.stable_from)
+
+
+def _nested_by_rows(m: int, n: int, truncation: int):
+    # The nested tower from hom_dim alone: every inner row over 2N + 1
+    # stages, read as a direct tower, then the outer row of their
+    # colimits, flagged where two neighbours are 1, read as an inverse
+    # tower.  None where it must raise.
+    inner = [FiniteInd(n - k, k) for k in range(2 * truncation + 1)]
+    dims = []
+    for j in range(truncation + 1):
+        outer = FiniteInd(m - j, j)
+        answers = [hom_dim(outer, s) for s in inner]
+        read = _tail_read([d.value for d in answers], _plus_steps(answers), 2 * truncation)
+        if read is None:
+            return None
+        dims.append(read[0])
+    flags = [a == 1 and b == 1 for a, b in zip(dims, dims[1:])]
+    read = _tail_read(dims, flags, truncation)
+    return None if read is None else read[0]
+
+
+def suite_tower_exactness() -> tuple[bool, int, str]:
+    # Towers against rows of hom_dim answers read stage by stage, with
+    # the trailing runs found by a scan and the quarter rule written out
+    # here: the dims, the flags, the value, stable_from, and whether the
+    # tower raises.  The truncations 30 and 34 are not multiples of 4,
+    # and the grid runs past the exactness bound j <= N - ceil(N / 4),
+    # so some towers answer and some raise.  An inverse tower's flags
+    # come from its Serre-dual row, Hom(Sigma^-2 target, stage).
+    n = 0
+    for truncation in (30, 34):
+        bound = truncation - (truncation + 3) // 4
+        indices = (0, 1, 2, 5, truncation // 2, bound, truncation + 2)
+        objs = [(y, shift_object(y, -2)) for y in (FiniteInd(0, k) for k in indices)]
+        for slot in range(-4, truncation + 4):
+            stages = [FiniteInd(slot - k, k) for k in range(truncation + 1)]
+            for y, dual in objs:
+                forward = [hom_dim(y, s) for s in stages]
+                towers = (
+                    ("direct", build_hom_tower, truncated_colim, forward, forward),
+                    (
+                        "inverse",
+                        build_inverse_hom_tower,
+                        truncated_lim,
+                        [hom_dim(s, y) for s in stages],
+                        [hom_dim(dual, s) for s in stages],
+                    ),
+                )
+                for kind, build, read, row, flag_row in towers:
+                    dims = [d.value for d in row]
+                    flags = _plus_steps(flag_row)
+                    want = (tuple(dims), tuple(flags), _tail_read(dims, flags, truncation))
+                    if _built(build(y, slot, truncation), read) != want:
+                        return False, n, f"{kind} tower of {y} at slot {slot}, N={truncation}"
+                    n += 1
+        # m - n around the outer tower's raise border and around the
+        # border past which an inner tower raises
+        half = (truncation + 1) // 2
+        for gap in [*range(bound - 3, bound + 4), *range(-half - 6, -half + 1)]:
+            try:
+                got = prufer_prufer_tower(gap, 0, truncation)
+            except TowerUnstableError:
+                got = None
+            if got != _nested_by_rows(gap, 0, truncation):
+                return False, n, f"nested tower at gap {gap}, N={truncation}"
+            n += 1
+    return True, n, "direct, inverse and nested towers against hom_dim rows, N=30 and 34"
 
 
 def suite_classification_fixtures() -> tuple[bool, int, str]:
@@ -406,6 +520,7 @@ ALL_SUITES: list[tuple[str, Callable[[], tuple[bool, int, str]]]] = [
     ("graded-duality", suite_graded_duality),
     ("shift-equivariance", suite_shift_equivariance),
     ("family-maximality", suite_family_maximality),
+    ("tower-exactness", suite_tower_exactness),
 ]
 
 

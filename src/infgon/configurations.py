@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .arcs import (
     Arc,
@@ -375,14 +375,27 @@ def _least_member(
     breakpoint m*d + e, d a gap |x - y|, m in {1, 2}, e in -1..3.  Trying
     those spans in order decides in a fixed number of steps, whatever
     the coordinates."""
-    params = g._values(g)
-    gaps = {abs(x - y) for x in params for y in (*params, *points)}
-    for k in sorted({m * d + e for d in gaps for m in (1, 2) for e in range(-1, 4)}):
-        if k >= 2:
-            for a, b in _pairs_of_span(g, k):
-                if pred(a, b):
-                    return FiniteArc(a, b)
+    for k in _spans(g._values(g), points):
+        for a, b in _pairs_of_span(g, k):
+            if pred(a, b):
+                return FiniteArc(a, b)
     return None
+
+
+# The spans up to 3, which _spans yields first or skips.
+_TRIED = frozenset(range(4))
+
+
+def _spans(params: tuple[int, ...], points: tuple[int, ...]) -> Iterator[int]:
+    # The spans _least_member tries, in order.  The gap 0 (x - x) puts 2
+    # and 3 first and adds nothing above them; the answer is almost
+    # always there, so the sorted breakpoints above 3 are built only
+    # when both fail.
+    yield 2
+    yield 3
+    gaps = {abs(x - y) for x in params for y in (*params, *points)}
+    gaps.discard(0)
+    yield from sorted({m * d + e for d in gaps for m in (1, 2) for e in range(-1, 4)} - _TRIED)
 
 
 def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc]:

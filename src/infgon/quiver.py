@@ -26,14 +26,18 @@ criterion of composite_nonzero.  The truncated towers in `graded` call
 its row form _region_run, which tests/test_quiver.py::TestRegionRun
 pins to _region.
 
-hom_dim and ext_dim are one frame each, made by _hom_answer: the arc
-endpoints are read inline, the kernel _region is called once, or a
-wedge or slot comparison decides for a limit object, and one flat
-HomDim is built in place, unchecked; its HomWitness is built only when
-read.  arcs.ext_via_crossing answers the same way.  Record fields and
-every Enum's .value are read by C getters.  _hom_ends states the same
-four rules on arc endpoints alone, for callers that hold arcs and need
-no witness.
+hom_dim and ext_dim are one frame each, made by _hom_answer.  A
+FiniteInd derives the ends of its arc once, when it is built, into the
+slots _i and _j, and the answer reads them there (Sigma^t moves both
+ends by -t).  The kernel _region is called once, or a wedge or slot
+comparison decides for a limit object, and one flat HomDim is built in
+place, unchecked; its HomWitness is built only when read.
+arcs.ext_via_crossing answers the same way.  Record fields and every
+Enum's .value are read by C getters.  _hom_ends states the same four
+rules on arc endpoints alone, for callers that hold arcs and need no
+witness.  _arc and _finite_arc keep their own formula for the towers,
+h_region_contains and composite_nonzero, so the oracle suites that
+compare a tower with hom_dim compare two routes that share no code.
 """
 from __future__ import annotations
 
@@ -160,15 +164,19 @@ class _Value:
 class FiniteInd(_Value):
     """A finite indecomposable: the index-th object on the base diagonal,
     shifted `shift` times.  The index must be nonnegative; shift is any
-    integer."""
+    integer.  The derived slots `_i` and `_j` hold the ends of its arc,
+    (-shift - index - 2, -shift), which the hom kernel reads."""
 
-    __slots__ = __match_args__ = ("shift", "index")
+    __slots__ = ("shift", "index", "_i", "_j")
+    __match_args__ = ("shift", "index")
 
     def __init__(self, shift: int, index: int) -> None:
         if index < 0:
             raise ValueError(f"index must be >= 0, got {index}")
         _set(self, "shift", shift)
         _set(self, "index", index)
+        _set(self, "_i", -shift - index - 2)
+        _set(self, "_j", -shift)
 
 
 class PruferInd(_Value):
@@ -384,16 +392,14 @@ def _hom_answer(func: str, t: int):
     # The function func(a, b): Hom(a, Sigma^t b), with the witness of the rule that decided it.
     def answer(a: IndObject, b: IndObject) -> HomDim:
         if isinstance(b, FiniteInd):
-            shift = b.shift + t
             if isinstance(a, FiniteInd):
-                n = -shift
-                m = n - b.index - 2
-                j = -a.shift
-                region = _region(j - a.index - 2, j, m, n)
+                m = b._i - t
+                n = b._j - t
+                region = _region(a._i, a._j, m, n)
                 return _new(HomDim, (0 if region is None else 1, "finite-finite", region, (m, n)))
             if isinstance(a, PruferInd):
                 base = a.slot + 2
-                j = base - shift
+                j = base + b._j - t
                 k = b.index
                 return _new(HomDim, (1 if 0 <= j <= k else 0, "prufer-finite", None, (base, j, k)))
         elif isinstance(b, PruferInd):

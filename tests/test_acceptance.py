@@ -1,6 +1,6 @@
-"""Acceptance gate: eleven criteria, one test and one pass/fail line each.
+"""Acceptance gate: twelve criteria, one test and one pass/fail line each.
 
-Criteria 1 through 9 and 11 run the library's oracle-agreement suites
+Criteria 1 through 9, 11 and 12 run the library's oracle-agreement suites
 with their time budgets; criterion 10 drives the command line for
 golden-output stability and the aggregate check command.  One more test
 checks that every suite has a budget.
@@ -27,6 +27,7 @@ BUDGETS = {
     "graded-duality": 5.0,
     "shift-equivariance": 30.0,
     "family-maximality": 10.0,
+    "tower-exactness": 10.0,
 }
 
 
@@ -124,3 +125,16 @@ def test_criterion_10_cli_golden_and_check(tmp_path):
 
 def test_criterion_11_family_maximality():
     run_criterion(11, "family-maximality")
+
+
+def test_criterion_12_tower_exactness():
+    run_criterion(12, "tower-exactness")
+
+
+def test_tower_exactness_shares_no_tail_code():
+    # its oracle side scans for the trailing runs and writes the quarter
+    # rule out itself
+    from infgon import acceptance
+
+    shared = {"_quarter", "_stable_split", "_run_starts", "_run_row", "_region_run", "_starts"}
+    assert shared.isdisjoint(vars(acceptance))

@@ -31,6 +31,7 @@ from infgon import (
     ext_via_crossing,
     h_region_contains,
     hom_dim,
+    object_to_arc,
     shift_object,
     arcs_cross,
     wedge_contains,
@@ -88,6 +89,38 @@ class TestConstruction:
     def test_objects_hash_and_compare_by_value(self):
         assert FiniteInd(1, 2) == FiniteInd(1, 2)
         assert len({PruferInd(3), PruferInd(3)}) == 1
+
+
+_huge = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(10**12) - 50, -(10**12) + 50),
+    st.integers(10**12 - 50, 10**12 + 50),
+)
+
+
+class TestDerivedEnds:
+    """FiniteInd derives the ends of its arc into the private slots _i
+    and _j, which are not fields."""
+
+    @given(_huge, st.one_of(st.integers(0, 50), st.integers(10**12 - 50, 10**12 + 50)))
+    @settings(max_examples=300)
+    def test_ends_match_object_to_arc(self, shift, index):
+        x = FiniteInd(shift, index)
+        arc = object_to_arc(x)
+        assert (x._i, x._j) == (arc.a, arc.b)
+        assert repr(x) == f"FiniteInd(shift={shift!r}, index={index!r})"
+        assert FiniteInd.__match_args__ == ("shift", "index")
+        assert x._values(x) == (shift, index)
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert y == x and (y._i, y._j) == (x._i, x._j)
+        for name in ("_i", "_j"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x._i, x._j) == (arc.a, arc.b)
 
 
 # repr strings as the frozen dataclasses printed them, one per rule
