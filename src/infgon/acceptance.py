@@ -56,6 +56,7 @@ from .graded import (
 from .quiver import (
     FiniteInd,
     PruferInd,
+    _RAY_END,
     _Value,
     _region,
     _set,
@@ -133,9 +134,12 @@ def _edge_stages(dims: tuple[int, ...]) -> list[int]:
 
 def suite_tower_colim_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
     objs = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
+    slots = range(-8, 9)
+    rays = [(object_to_arc(PruferInd(slot)).m, _RAY_END) for slot in slots]
     n = 0
     for y in objs:
-        for slot in range(-8, 9):
+        t = object_to_arc(y)
+        for slot, ray in zip(slots, rays):
             try:
                 tower = build_hom_tower(y, slot, truncation)
                 got = truncated_colim(tower).value
@@ -149,14 +153,20 @@ def suite_tower_colim_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
             if got != want:
                 return False, n, f"colim mismatch at {y}, slot {slot}"
             n += 1
+            if (_region(t.a, t.b, *ray) is not None) != wedge_contains(slot, y):
+                return False, n, f"ray read against the wedge mismatch at {y}, slot {slot}"
+            n += 1
     return True, n, f"colimits against the wedge formula, dims against hom_dim, N={truncation}"
 
 
 def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
     objs = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
+    slots = range(-8, 9)
+    rays = [(object_to_arc(PruferInd(slot)).m, _RAY_END) for slot in slots]
     n = 0
     for y in objs:
-        for slot in range(-8, 9):
+        t = object_to_arc(y)
+        for slot, ray in zip(slots, rays):
             try:
                 tower = build_inverse_hom_tower(y, slot, truncation)
                 got = truncated_lim(tower).value
@@ -173,13 +183,18 @@ def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
             if got != hom_dim(PruferInd(slot), y).value:
                 return False, n, f"lim against hom_dim mismatch at {y}, slot {slot}"
             n += 1
+            if (_region(*ray, t.a, t.b) is not None) != want:
+                return False, n, f"ray read against the wedge mismatch at {y}, slot {slot}"
+            n += 1
     return True, n, f"limits against wedge membership, dims against hom_dim, N={truncation}"
 
 
 def suite_prufer_prufer_tower(truncation: int = 30) -> tuple[bool, int, str]:
+    slots = range(-6, 7)
+    rays = [(object_to_arc(PruferInd(slot)).m, _RAY_END) for slot in slots]
     n = 0
-    for m in range(-6, 7):
-        for s in range(-6, 7):
+    for m, left in zip(slots, rays):
+        for s, right in zip(slots, rays):
             try:
                 got = prufer_prufer_tower(m, s, truncation)
             except TowerUnstableError as exc:
@@ -190,6 +205,9 @@ def suite_prufer_prufer_tower(truncation: int = 30) -> tuple[bool, int, str]:
             n += 1
             if got != hom_dim(PruferInd(m), PruferInd(s)).value:
                 return False, n, f"double tower against hom_dim mismatch at ({m}, {s})"
+            n += 1
+            if (_region(*left, *right) is not None) != want:
+                return False, n, f"ray read against s <= m mismatch at ({m}, {s})"
             n += 1
     return True, n, f"nested limit-to-limit towers, truncation {truncation}"
 

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
 from .configurations import ArcConfiguration, Verdict, classify, DEFAULT_WINDOW
-from .quiver import FiniteInd, IndObject, PruferInd, _Enum, _Value, _hom_ends, _not_a, _set
+from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _not_a, _region, _set
 
 __all__ = [
     "ApproximationKind",
@@ -92,15 +92,16 @@ def approximation_report(
     member (-n-k, -n-2) with k large enough maps onto every wedge map.
     A limit object in slot n+t needs: the configuration's own limit
     object for t <= 0, nothing at all for t = 1, and a coslice member
-    of span >= t for t >= 2.
+    of span >= t for t >= 2.  Read as the ray (a, inf), a limit object
+    falls in the same cases; the coslice member taken is (a, -n-2).
 
     The handled list contains the window members t with a nonzero map
     to d that factors through the target: t is the limit object or lies
     on the slice out of f when the target is the limit object, and Hom(t,
     target) is nonzero when it is a coslice member.  The rest land in
-    exceptions (a finite leftover is the point of "almost").  The
-    endpoint rules of quiver._hom_ends decide both homs on the arcs of t,
-    d and the target, the rules hom_dim reads off the objects.
+    exceptions (a finite leftover is the point of "almost").  The hom
+    kernel quiver._region decides both homs on the arcs of t, d and the
+    target, by the rules hom_dim reads off the objects.
 
     classify certifies c as the fan at f: one family Fan(f) or
     SplitFan(f, f), every explicit arc a member, one ray at f.  So the
@@ -110,10 +111,10 @@ def approximation_report(
     the other stays at f, and every rule compares v with an end x of d
     or of the target as v <= x or v >= x + 2, or not at all.  So both
     homs change value only where v passes a cut x + e, e in 1..2, and
-    cutting at e in 0..3 keeps a margin.  One _hom_ends call per run
+    cutting at e in 0..3 keeps a margin.  One _region call per run
     between cuts, and one more to a coslice target when the run maps to
-    d, puts the run's arcs whole into handled or exceptions; at most
-    four ends make at most 16 cuts, so a report makes a fixed number of
+    d, puts the run's arcs whole into handled or exceptions; the ends of
+    d and f make at most 12 cuts, so a report makes a fixed number of
     kernel calls at any window width.
     """
     cls = classify(c, window)
@@ -125,32 +126,18 @@ def approximation_report(
     f = c.infinite_arcs[0]
     n = -f - 2
 
-    # Homs are decided on arc endpoints, the ray at m read as (m, None).
+    # Homs are decided on arc ends, the ray at m read as (m, _RAY_END).
+    arc = object_to_arc(d)
+    di, dj = (arc.m, _RAY_END) if isinstance(d, PruferInd) else (arc.a, arc.b)
     target: Optional[IndObject]
-    if isinstance(d, PruferInd):
-        di, dj = -d.slot - 2, None
-        k = d.slot - n
-        if k <= 0:
-            kind, target = ApproximationKind.PRUFER_OBJECT, PruferInd(n)
-        elif k == 1:
-            kind, target = ApproximationKind.ZERO_SUFFICES, None
-        else:
-            # the coslice arc needs span >= k for its wedge test at
-            # slot n + k to pass
-            kt = max(4, k + 2)
-            kind = ApproximationKind.COSLICE_OBJECT
+    if isinstance(d, PruferInd) and di >= f:
+        kind, target = ApproximationKind.PRUFER_OBJECT, PruferInd(n)
+    elif di >= f - 1 or dj <= f - 1:
+        kind, target = ApproximationKind.ZERO_SUFFICES, None
     else:
-        arc = object_to_arc(d)
-        di, dj = arc.a, arc.b
-        if arc.a >= -n - 3 or arc.b <= -n - 3:
-            kind, target = ApproximationKind.ZERO_SUFFICES, None
-        else:
-            kt = max(4, -n - arc.a)
-            kind = ApproximationKind.COSLICE_OBJECT
-    ti = tj = None
-    if kind is ApproximationKind.COSLICE_OBJECT:
-        ti, tj = -n - kt, -n - 2
-        target = arc_to_object(FiniteArc(ti, tj))
+        # the coslice member through the left end of d; for a limit
+        # object at slot n + k its span is k, as its wedge test needs
+        kind, target = ApproximationKind.COSLICE_OBJECT, arc_to_object(FiniteArc(di, f))
 
     lo, hi = window
     if lo > hi:
@@ -159,26 +146,23 @@ def approximation_report(
     # limit object and the member is that object or on the slice out of
     # f, or when the target is a coslice member it maps to.  Each run of
     # a side between cuts is decided at its first arc.
-    zero = kind is ApproximationKind.ZERO_SUFFICES
+    coslice = kind is ApproximationKind.COSLICE_OBJECT
     prufer = kind is ApproximationKind.PRUFER_OBJECT
     handled: list[Arc] = []
     exceptions: list[Arc] = []
     if lo <= f <= hi:
-        cuts = {x + e for x in (di, dj, ti, tj) if x is not None for e in range(4)}
+        cuts = {x + e for x in (di, dj, f) for e in range(4)}
         for first, last, left in ((lo, f - 2, True), (f + 2, hi, False)):
             if first > last:
                 continue
             bounds = sorted({first, last + 1, *(x for x in cuts if first < x <= last)})
             for s, e in zip(bounds, bounds[1:]):
                 a, b = (s, f) if left else (f, s)
-                if _hom_ends(a, b, di, dj):
-                    covered = not zero and (a == f if prufer else _hom_ends(a, b, ti, tj))
-                    (handled if covered else exceptions).extend(
-                        map(FiniteArc, range(s, e), repeat(f))
-                        if left
-                        else map(FiniteArc, repeat(f), range(s, e))
-                    )
-        if _hom_ends(f, None, di, dj):
+                if _region(a, b, di, dj) is not None:
+                    covered = a == f if prufer else coslice and _region(a, b, di, f) is not None
+                    ends = (range(s, e), repeat(f)) if left else (repeat(f), range(s, e))
+                    (handled if covered else exceptions).extend(map(FiniteArc, *ends))
+        if _region(f, _RAY_END, di, dj) is not None:
             (handled if prufer else exceptions).append(InfiniteArc(f))
     return ApproximationReport(
         kind=kind,

@@ -169,7 +169,7 @@ def _crossing_index(pairs: list) -> tuple[Callable, Callable]:
     crosses (i, j) when a < i < b < j, so some pair with its left end in
     (a, b) reaches past b, or when i < a < j < b, the same test on the
     pairs mirrored through 0.  An arc to infinity at m is the pair
-    (m, inf)."""
+    (m, quiver._RAY_END), the ray end of the hom kernel."""
     right = _reach(pairs)
     left = _reach([(-j, -i) for i, j in pairs])
     return right, lambda a, b: right(a, b) > b or left(-b, -a) > -a

@@ -11,6 +11,7 @@ highlights ask the crossing index of `configurations` over the arcs drawn.
 from __future__ import annotations
 
 from .configurations import ArcConfiguration, _crossing_index, _member_ends
+from .quiver import _RAY_END
 
 __all__ = ["render_svg", "render_to_file"]
 
@@ -80,10 +81,9 @@ def render_svg(
 def _crossing_arcs(pairs: list[tuple[int, int]], rays: list[int]) -> set:
     """The endpoint pairs (a, b) and ray ends m of the arcs that cross at
     least one other arc, from one crossing index over all of them, in
-    O(n log n); a ray at m is the arc (m, inf)."""
-    inf = float("inf")
-    _, crosses = _crossing_index(pairs + [(m, inf) for m in rays])
-    return {(a, b) for a, b in pairs if crosses(a, b)} | {m for m in rays if crosses(m, inf)}
+    O(n log n); a ray at m is the arc (m, _RAY_END)."""
+    _, crosses = _crossing_index(pairs + [(m, _RAY_END) for m in rays])
+    return {(a, b) for a, b in pairs if crosses(a, b)} | {m for m in rays if crosses(m, _RAY_END)}
 
 
 def render_to_file(

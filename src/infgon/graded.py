@@ -165,10 +165,11 @@ class TowerUnstableError(RuntimeError):
 class HomTower(_Value):
     """A truncated tower of hom dimensions along a slice.
 
-    dims[i] is the 0/1 dimension at stage i.  transition_nonzero[i]
-    flags whether the map between stages i and i+1 (in the tower's
-    direction) is nonzero; a flag may only be set when both adjacent
-    dimensions are 1.  The constructor stores both as tuples.
+    dims[i] is the 0/1 dimension at stage i.  transition_nonzero[i] is
+    set when the map between stages i and i+1 (in the tower's direction)
+    is certified nonzero, and unset means "not certified", not "zero";
+    a flag may only be set when both adjacent dimensions are 1.  The
+    constructor stores both as tuples.
 
     The derived slot `_starts` holds where the trailing constant runs of
     dims and of transition_nonzero start (0 when there are no flags).
@@ -312,7 +313,10 @@ def build_inverse_hom_tower(
     linear map is nonzero exactly when its transpose is.  So the inverse
     tower is the direct tower of the twice downshifted target read in
     the inverse direction: its dims and its flags both come from that
-    one dual row.
+    one dual row.  So a flag is set when the composite criterion
+    certifies the dual map nonzero; unset is "not certified", even where
+    composite_nonzero certifies the map itself (flag 0 at target
+    FiniteInd(-6, 1), slice_start -5).
 
     truncated_lim of the tower is 1 exactly when target lies in the
     wedge at base slice_start + 2, whenever j = slice_start + 2 -

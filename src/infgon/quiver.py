@@ -33,9 +33,9 @@ ends by -t).  The kernel _region is called once, or a wedge or slot
 comparison decides for a limit object, and one flat HomDim is built in
 place, unchecked; its HomWitness is built only when read.
 arcs.ext_via_crossing answers the same way.  Record fields and every
-Enum's .value are read by C getters.  _hom_ends states the same four
-rules on arc endpoints alone, for callers that hold arcs and need no
-witness.  _arc and _finite_arc keep their own formula for the towers,
+Enum's .value are read by C getters.  _region reads a limit object as
+the ray (m, _RAY_END) for callers that hold arcs and need no witness.
+_arc and _finite_arc keep their own formula for the towers,
 h_region_contains and composite_nonzero, so the oracle suites that
 compare a tower with hom_dim compare two routes that share no code.
 """
@@ -323,13 +323,19 @@ def _arc(shift: int, index: int) -> tuple[int, int]:
     return -shift - index - 2, -shift
 
 
+_RAY_END = float("inf")  # the ray at m, the arc of PruferInd(-m - 2), is (m, _RAY_END)
+
+
 def _region(i: int, j: int, m: int, n: int) -> Optional[str]:
-    """The integer hom kernel: the region of the hom hammock of the
-    finite object with arc (i, j) that holds the finite object with arc
-    (m, n), or None when Hom between them vanishes."""
-    if m <= i - 2 and i <= n <= j - 2:
+    """The hom kernel: the region of the hom hammock of the object with
+    arc (i, j) that holds the object with arc (m, n), or None when Hom
+    between them vanishes.  A right end _RAY_END makes an arc a ray, and
+    the same tests are the rules of hom_dim on limit objects.  Their
+    upper bounds are strict: n <= j - 2 says the same on ints but holds
+    for two rays, as inf - 2 is inf."""
+    if m <= i - 2 and i <= n < j - 1:
         return "minus"
-    if i <= m <= j - 2 and n >= j:
+    if i <= m < j - 1 and n >= j:
         return "plus"
     return None
 
@@ -343,20 +349,6 @@ def _region_run(i: int, j: int, m: int, n: int, count: int) -> tuple[Optional[st
     if i <= m <= j - 2:
         return "plus", max(j - n, 0), count - 1
     return None, 0, -1
-
-
-def _hom_ends(i: int, j: Optional[int], m: int, n: Optional[int]) -> bool:
-    """Whether Hom from the object with arc (i, j) to the object with arc
-    (m, n) is nonzero, where an end None makes the arc the ray to
-    infinity at its left end, the arc of a limit object.  These are the
-    rules of hom_dim read on arc endpoints."""
-    if j is None:
-        if n is None:
-            return i <= m
-        return m + 2 <= i <= n
-    if n is None:
-        return i <= m <= j - 2
-    return _region(i, j, m, n) is not None
 
 
 def _finite_arc(func: str, name: str, x: object) -> tuple[int, int]:

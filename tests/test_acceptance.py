@@ -9,6 +9,7 @@ checks that every suite has a budget.
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -138,3 +139,30 @@ def test_tower_exactness_shares_no_tail_code():
 
     shared = {"_quarter", "_stable_split", "_run_starts", "_run_row", "_region_run", "_starts"}
     assert shared.isdisjoint(vars(acceptance))
+
+
+def _names(fn, seen):
+    # the global and attribute names fn reads, and those of the module
+    # functions it calls, transitively
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in set(code.co_names) - seen:
+            seen.add(name)
+            f = fn.__globals__.get(name)
+            if isinstance(f, types.FunctionType):
+                _names(f, seen)
+    return seen
+
+
+def test_ray_reads_keep_their_oracles_off_the_kernel():
+    # the ray reads of three tower suites compare quiver._region, on arc
+    # ends from arcs.object_to_arc, with wedge_contains or an inline slot
+    # rule: neither the oracle nor the arc ends may reach the kernel, or
+    # the arc ends a FiniteInd derives for it
+    from infgon import arcs, quiver
+
+    kernel = {"_region", "_region_run", "_hom_answer", "hom_dim", "ext_dim", "_i", "_j"}
+    for fn in (quiver.wedge_contains, arcs.object_to_arc):
+        assert kernel.isdisjoint(_names(fn, set())), fn.__name__

@@ -303,13 +303,13 @@ class TestEndpointReport:
     def test_kernel_calls_do_not_grow_with_the_window(self, monkeypatch):
         # a report decides each run of a side with one or two kernel calls
         calls = []
-        hom_ends = approximations._hom_ends
+        region = approximations._region
 
         def counted(*args):
             calls.append(args)
-            return hom_ends(*args)
+            return region(*args)
 
-        monkeypatch.setattr(approximations, "_hom_ends", counted)
+        monkeypatch.setattr(approximations, "_region", counted)
         objects = (
             arc_to_object(FiniteArc(-6, 2)),
             arc_to_object(FiniteArc(-2, 0)),

@@ -13,7 +13,7 @@ import sys
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infgon import (
@@ -37,7 +37,7 @@ from infgon import (
     wedge_contains,
 )
 from infgon import arcs, quiver
-from infgon.quiver import _arc, _hom_ends, _region, _region_run
+from infgon.quiver import _RAY_END, _arc, _region, _region_run
 
 
 def h_region_set(center, part, m_lo, m_hi, n_lo, n_hi):
@@ -634,26 +634,47 @@ class TestOneRecordPerAnswer:
 
 
 class TestEndpointRules:
-    # _hom_ends decides Hom on arc endpoints, a ray at m written (m, None);
+    # _region decides Hom on arc ends, a ray at m written (m, _RAY_END);
     # pinned here against hom_dim on every pair of arcs and rays in +-9
 
     @staticmethod
     def _object(i, j):
-        return PruferInd(-i - 2) if j is None else FiniteInd(-j, j - i - 2)
+        return PruferInd(-i - 2) if j == _RAY_END else FiniteInd(-j, j - i - 2)
+
+    def _assert_rule(self, i, j, m, n):
+        got = _region(i, j, m, n) is not None
+        assert got == (hom_dim(self._object(i, j), self._object(m, n)).value == 1), (i, j, m, n)
+        return got
 
     def test_every_pair_of_kinds_in_a_window(self):
         ends = [(a, b) for a in range(-9, 10) for b in range(a + 2, 10)]
-        ends += [(m, None) for m in range(-9, 10)]
+        ends += [(m, _RAY_END) for m in range(-9, 10)]
         kinds = {}
         for i, j in ends:
-            x = self._object(i, j)
             for m, n in ends:
-                got = _hom_ends(i, j, m, n)
-                assert got == (hom_dim(x, self._object(m, n)).value == 1), (i, j, m, n)
-                key = (j is None, n is None)
-                kinds[key] = kinds.get(key, 0) + got
+                key = (j == _RAY_END, n == _RAY_END)
+                kinds[key] = kinds.get(key, 0) + self._assert_rule(i, j, m, n)
         # all four pairs of kinds occur, each with nonzero homs
         assert len(kinds) == 4 and all(kinds.values())
+
+    @given(
+        st.sampled_from([-(10**18), 10**18]),
+        st.integers(-4, 4),
+        st.one_of(st.none(), st.integers(2, 8)),
+        st.integers(-4, 4),
+        st.one_of(st.none(), st.integers(2, 8)),
+    )
+    @example(10**18, 0, None, 0, None)
+    @example(10**18, 0, None, 1, None)
+    @example(-(10**18), 1, None, 0, None)
+    @settings(max_examples=400)
+    def test_far_ends(self, base, di, span, dm, other):
+        # ends past 2**53, where a float would merge neighbouring ints;
+        # a span None draws a ray, so rays meet at equal and adjacent slots
+        i, m = base + di, base + dm
+        j = _RAY_END if span is None else i + span
+        n = _RAY_END if other is None else m + other
+        self._assert_rule(i, j, m, n)
 
 
 def _assert_run_of_row(i, j, m, n, row):
