@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import Optional, Union
 
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
-from .configurations import ArcConfiguration, Verdict, classify, DEFAULT_WINDOW
+from .configurations import ArcConfiguration, Verdict, _certified, classify, DEFAULT_WINDOW
 from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _not_a, _region, _set
 
 __all__ = [
@@ -85,11 +85,12 @@ def approximation_report(
 ) -> ApproximationReport:
     """Shape of an almost-right-approximation of d against c.
 
-    Requires c to classify as cluster tilting; f is its fountain vertex
-    and n = -f-2 the slot of the limit object in c.  Writing the arc of
-    a finite d as (a, b): if a >= -n-3 or b <= -n-3 the zero map
-    suffices.  Otherwise d lies in the wedge over slot n+2 and a coslice
-    member (-n-k, -n-2) with k large enough maps onto every wedge map.
+    Requires c to classify as cluster tilting, read off its normal form
+    without running classify; f is its fountain vertex and n = -f-2 the
+    slot of the limit object in c.  Writing the arc of a finite d as
+    (a, b): if a >= -n-3 or b <= -n-3 the zero map suffices.  Otherwise
+    d lies in the wedge over slot n+2 and a coslice member (-n-k, -n-2)
+    with k large enough maps onto every wedge map.
     A limit object in slot n+t needs: the configuration's own limit
     object for t <= 0, nothing at all for t = 1, and a coslice member
     of span >= t for t >= 2.  Read as the ray (a, inf), a limit object
@@ -103,7 +104,7 @@ def approximation_report(
     kernel quiver._region decides both homs on the arcs of t, d and the
     target, by the rules hom_dim reads off the objects.
 
-    classify certifies c as the fan at f: one family Fan(f) or
+    That read certifies c as the fan at f: one family Fan(f) or
     SplitFan(f, f), every explicit arc a member, one ray at f.  So the
     window members are the side (a, f) for lo <= a <= f-2, the side
     (f, b) for f+2 <= b <= hi, and the ray at f, or none when f lies
@@ -117,11 +118,10 @@ def approximation_report(
     d and f make at most 12 cuts, so a report makes a fixed number of
     kernel calls at any window width.
     """
-    cls = classify(c, window)
-    if cls.verdict is not Verdict.CLUSTER_TILTING:
+    if _certified(c) is not Verdict.CLUSTER_TILTING:
         raise ValueError(
             f"approximation analysis needs a cluster tilting configuration,"
-            f" classification gave {cls.verdict.value}"
+            f" classification gave {classify(c, window).verdict.value}"
         )
     f = c.infinite_arcs[0]
     n = -f - 2

@@ -45,6 +45,11 @@ no arc to infinity, a configuration is weakly cluster tilting iff its
 arcs are maximal non-crossing and locally finite; with exactly one arc
 to infinity at m, iff the finite part is maximal non-crossing with a
 two-sided fountain at m, and that case is moreover cluster tilting.
+Since two distinct families cross and a non-member crosses its family,
+each case is one shape of the normal form: a single family with only
+member arcs, plus the ray at m for Fan(m) or SplitFan(m, m), or no ray
+for a Zigzag.  classify and the preconditions of the witnesses read
+that shape in one pass over the explicit arcs.
 """
 from __future__ import annotations
 
@@ -703,20 +708,46 @@ class Classification(_Value):
         _set(self, "reason", reason)
 
 
+def _certified(c: ArcConfiguration) -> Optional[Verdict]:
+    """WCT_LOCALLY_FINITE when c is one Zigzag with no arc to infinity,
+    CLUSTER_TILTING when c is one Fan(m) or SplitFan(m, m) with the one
+    arc to infinity at m, each with every explicit arc a member of the
+    family; None otherwise.  In O(number of explicit arcs)."""
+    families, infs = c._families, c.infinite_arcs
+    if len(families) != 1:
+        return None
+    g = families[0]
+    if isinstance(g, Zigzag):
+        if infs:
+            return None
+        verdict = Verdict.WCT_LOCALLY_FINITE
+    elif len(infs) == 1 and g._feet == (infs[0], infs[0]):
+        verdict = Verdict.CLUSTER_TILTING
+    else:
+        return None
+    return verdict if all(_is_member(g, t.a, t.b) for t in c._explicit) else None
+
+
 def classify(
     c: ArcConfiguration, window: tuple[int, int] = DEFAULT_WINDOW
 ) -> Classification:
     """Full classification pipeline.
 
-    Order of decisions: more than one arc to infinity loses immediately;
-    then any crossing; then maximality of the finite part; then the
-    split on the number of arcs to infinity.  With none, maximal plus
-    locally finite is weakly cluster tilting (and provably never cluster
-    tilting); maximal with a fountain and no arc to infinity is not
-    weakly cluster tilting.  With exactly one arc to infinity at m, the
-    verdict is cluster tilting exactly when the finite part is maximal
-    with a two-sided fountain at m; that case subsumes the
-    fountain-flavoured weak verdict.
+    Order of decisions: the two positive verdicts first, read off the
+    normal form by one shape check.  With no arc to infinity, c is
+    weakly cluster tilting (and provably never cluster tilting) exactly
+    when its finite part is maximal non-crossing and locally finite;
+    with one at m, cluster tilting exactly when the finite part is
+    maximal non-crossing with a two-sided fountain at m, which subsumes
+    the fountain-flavoured weak verdict.  Two distinct families always
+    cross, and an explicit non-member crosses its family, so both cases
+    are one family with member arcs: a Zigzag and no arc to infinity,
+    or a Fan(m) or SplitFan(m, m) and the arc to infinity at m.  Every
+    other configuration is not weakly cluster tilting, and the pipeline
+    finds its reason: more than one arc to infinity; then any crossing;
+    then an addable arc; then, with no arc to infinity, a two-sided
+    fountain or else a one-sided one; and with one, the fountain that
+    does not match it.
 
     The window only chooses which addable arc a pure Explicit
     configuration reports, the least one inside it; a configuration
@@ -724,73 +755,41 @@ def classify(
     cost grows with the window.
     """
     infs = c.infinite_arcs
-    if len(infs) >= 2:
-        return Classification(
-            Verdict.NOT_WCT,
-            Reason(ReasonKind.MULTIPLE_INFINITE_ARCS, infinite_slots=infs),
+    verdict = _certified(c)
+    if verdict is not None and not infs:
+        facts = ("maximal_certified", "locally_finite", "no_infinite_arc")
+        reason = Reason(ReasonKind.CERTIFIED, facts=facts)
+    elif verdict is not None:  # cluster tilting, with its arc to infinity
+        m = infs[0]
+        facts = (
+            "maximal_certified",
+            f"fountain_at_{m}",
+            f"infinite_arc_at_{m}",
+            "satisfies_fountain_weak_verdict",
         )
-    witness = noncrossing_check(c)
-    if witness is not None:
-        return Classification(
-            Verdict.NOT_WCT, Reason(ReasonKind.CROSSING_PAIR, crossing=witness)
-        )
-    mx = maximality_check(c, window)
-    if isinstance(mx, AddableArc):
-        return Classification(
-            Verdict.NOT_WCT, Reason(ReasonKind.ADDABLE_ARC, addable=mx.arc)
-        )
-    profile = fountain_profile(c)
-    profile_items = tuple(sorted(profile.items()))
-    if not infs:
-        if not profile:  # no Fan or SplitFan: locally finite
-            return Classification(
-                Verdict.WCT_LOCALLY_FINITE,
-                Reason(
-                    ReasonKind.CERTIFIED,
-                    facts=("maximal_certified", "locally_finite", "no_infinite_arc"),
-                ),
+        reason = Reason(ReasonKind.CERTIFIED, fountain_vertex=m, facts=facts)
+    elif len(infs) >= 2:
+        reason = Reason(ReasonKind.MULTIPLE_INFINITE_ARCS, infinite_slots=infs)
+    elif (witness := noncrossing_check(c)) is not None:
+        reason = Reason(ReasonKind.CROSSING_PAIR, crossing=witness)
+    elif isinstance(mx := maximality_check(c, window), AddableArc):
+        reason = Reason(ReasonKind.ADDABLE_ARC, addable=mx.arc)
+    else:
+        profile = tuple(sorted(fountain_profile(c).items()))
+        if infs:
+            reason = Reason(
+                ReasonKind.FOUNTAIN_MISMATCH,
+                fountain_vertex=infs[0],
+                profile=profile,
+                infinite_slots=infs,
             )
-        full = [v for v, fl in profile_items if fl.left and fl.right]
-        if full:
-            return Classification(
-                Verdict.NOT_WCT,
-                Reason(
-                    ReasonKind.MISSING_INFINITE_ARC,
-                    fountain_vertex=full[0],
-                    profile=profile_items,
-                ),
+        elif full := [v for v, fl in profile if fl.left and fl.right]:
+            reason = Reason(
+                ReasonKind.MISSING_INFINITE_ARC, fountain_vertex=full[0], profile=profile
             )
-        return Classification(
-            Verdict.NOT_WCT,
-            Reason(
-                ReasonKind.NOT_LOCALLY_FINITE_NO_INFINITE_ARC, profile=profile_items
-            ),
-        )
-    m = infs[0]
-    flags = profile.get(m)
-    if flags is not None and flags.left and flags.right:
-        return Classification(
-            Verdict.CLUSTER_TILTING,
-            Reason(
-                ReasonKind.CERTIFIED,
-                fountain_vertex=m,
-                facts=(
-                    "maximal_certified",
-                    f"fountain_at_{m}",
-                    f"infinite_arc_at_{m}",
-                    "satisfies_fountain_weak_verdict",
-                ),
-            ),
-        )
-    return Classification(
-        Verdict.NOT_WCT,
-        Reason(
-            ReasonKind.FOUNTAIN_MISMATCH,
-            fountain_vertex=m,
-            profile=profile_items,
-            infinite_slots=infs,
-        ),
-    )
+        else:
+            reason = Reason(ReasonKind.NOT_LOCALLY_FINITE_NO_INFINITE_ARC, profile=profile)
+    return Classification(verdict or Verdict.NOT_WCT, reason)
 
 
 def render_classification(cls: Classification) -> str:
@@ -823,12 +822,12 @@ def render_classification(cls: Classification) -> str:
 
 def _locally_finite_zigzag(c: ArcConfiguration) -> Zigzag:
     # Only one Zigzag, with some of its own arcs, classifies as locally
-    # finite weakly cluster tilting.
-    cls = classify(c, DEFAULT_WINDOW)
-    if cls.verdict is not Verdict.WCT_LOCALLY_FINITE:
+    # finite weakly cluster tilting: the shape _certified reads.  classify
+    # runs only to name the verdict in the error.
+    if _certified(c) is not Verdict.WCT_LOCALLY_FINITE:
         raise ValueError(
             "operation needs a locally finite maximal non-crossing "
-            f"configuration, classification gave {cls.verdict.value}"
+            f"configuration, classification gave {classify(c).verdict.value}"
         )
     return c._families[0]
 

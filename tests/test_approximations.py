@@ -172,15 +172,24 @@ class TestReportCoherence:
         ) + tuple(FiniteArc(0, b) for b in range(2, 6))
 
     def test_requires_cluster_tilting(self):
-        with pytest.raises(ValueError):
-            approximation_report(
-                ArcConfiguration([Zigzag(0)], []), FiniteInd(0, 0)
-            )
-        with pytest.raises(ValueError):
-            approximation_report(
-                ArcConfiguration([Explicit({FiniteArc(0, 2)})], []),
-                FiniteInd(0, 0),
-            )
+        # near misses of the fan with its ray: a zigzag, explicit only, a
+        # zigzag with a ray or a non-member, a split fan with a ray at its
+        # left foot, a fan with a ray off its foot, two fans with a ray
+        for gens, infs, verdict in [
+            ([Zigzag(0)], [], "WCT_LocallyFinite"),
+            ([Explicit({FiniteArc(0, 2)})], [], "NotWCT"),
+            ([Zigzag(0)], [0], "NotWCT"),
+            ([Zigzag(0), Explicit({FiniteArc(0, 2)})], [], "NotWCT"),
+            ([SplitFan(0, 2)], [0], "NotWCT"),
+            ([Fan(0)], [1], "NotWCT"),
+            ([Fan(0), Fan(3)], [0], "NotWCT"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                approximation_report(ArcConfiguration(gens, infs), FiniteInd(0, 0))
+            assert str(info.value) == (
+                "approximation analysis needs a cluster tilting configuration,"
+                f" classification gave {verdict}"
+            ), gens
 
 
 def report_by_objects(c, d, window):

@@ -912,6 +912,138 @@ class TestClassify:
             assert p - 1 in starts
 
 
+SHAPE_FAMILIES = (
+    [Fan(v) for v in range(-2, 3)]
+    + [Zigzag(c) for c in range(-2, 3)]
+    + [SplitFan(p, q) for p in range(-2, 3) for q in range(p, 3)]
+)
+SHAPE_ARCS = [
+    FiniteArc(a, b)
+    for a, b in ((-2, 0), (0, 2), (-1, 1), (-2, 1), (-3, 3), (1, 4), (-4, -1), (-2, 2))
+]
+SHAPE_WINDOW = (-12, 12)
+
+
+def shape_grid():
+    """Configurations near the two certified shapes: no family, one, or
+    two of SHAPE_FAMILIES (Fan(m) + SplitFan(m, m) among the pairs);
+    explicit sets of up to two SHAPE_ARCS, members and non-members
+    alike, with at most one family; and no ray, a ray at either
+    foot (a zigzag's centre), one off the feet, or two rays."""
+    two = [[]] + [[t] for t in SHAPE_ARCS]
+    two += [[s, t] for i, s in enumerate(SHAPE_ARCS) for t in SHAPE_ARCS[i + 1 :]]
+    family_sets = [[]] + [[g] for g in SHAPE_FAMILIES]
+    family_sets += [
+        [g, h] for i, g in enumerate(SHAPE_FAMILIES) for h in SHAPE_FAMILIES[i + 1 :]
+    ]
+    grid = []
+    for fams in family_sets:
+        g = fams[0] if fams else Zigzag(0)
+        if isinstance(g, (Fan, Zigzag)):
+            p = q = g.vertex if isinstance(g, Fan) else g.center
+        else:
+            p, q = g.p, g.q
+        rays = {(), (p,), (q,), (q + 1,), (p, q + 1)}
+        for arcs in two if len(fams) < 2 else [[]]:
+            for inf in sorted(rays):
+                grid.append(cfg(*fams, *([Explicit(arcs)] if arcs else []), inf=inf))
+    return grid
+
+
+def characterized(c, window):
+    """classify's (verdict, reason) restated from the public stages: with
+    no arc to infinity, weakly cluster tilting iff maximal non-crossing
+    and locally finite; with one at m, cluster tilting iff maximal
+    non-crossing with a two-sided fountain at m."""
+    infs = c.infinite_arcs
+    if len(infs) >= 2:
+        return Verdict.NOT_WCT, Reason(ReasonKind.MULTIPLE_INFINITE_ARCS, infinite_slots=infs)
+    witness = noncrossing_check(c)
+    if witness is not None:
+        return Verdict.NOT_WCT, Reason(ReasonKind.CROSSING_PAIR, crossing=witness)
+    mx = maximality_check(c, window)
+    if isinstance(mx, AddableArc):
+        return Verdict.NOT_WCT, Reason(ReasonKind.ADDABLE_ARC, addable=mx.arc)
+    profile = fountain_profile(c)
+    items = tuple(sorted(profile.items()))
+    if not infs and is_locally_finite(c):
+        facts = ("maximal_certified", "locally_finite", "no_infinite_arc")
+        return Verdict.WCT_LOCALLY_FINITE, Reason(ReasonKind.CERTIFIED, facts=facts)
+    if not infs:
+        full = [v for v, fl in items if fl == (True, True)]
+        if full:
+            kind, vertex = ReasonKind.MISSING_INFINITE_ARC, full[0]
+        else:
+            kind, vertex = ReasonKind.NOT_LOCALLY_FINITE_NO_INFINITE_ARC, None
+        return Verdict.NOT_WCT, Reason(kind, fountain_vertex=vertex, profile=items)
+    m = infs[0]
+    if profile.get(m) == (True, True):
+        facts = (
+            "maximal_certified",
+            f"fountain_at_{m}",
+            f"infinite_arc_at_{m}",
+            "satisfies_fountain_weak_verdict",
+        )
+        return Verdict.CLUSTER_TILTING, Reason(
+            ReasonKind.CERTIFIED, fountain_vertex=m, facts=facts
+        )
+    return Verdict.NOT_WCT, Reason(
+        ReasonKind.FOUNTAIN_MISMATCH, fountain_vertex=m, profile=items, infinite_slots=infs
+    )
+
+
+class TestCertifiedShapes:
+    """The positive verdicts and the witnesses' preconditions are read off
+    the normal form; here they are confronted with the characterization,
+    decided stage by stage."""
+
+    def test_classify_and_witnesses_match_the_characterization(self):
+        # classify gives the characterization's verdict and reason, and
+        # each witness accepts exactly the verdict it needs, naming the
+        # verdict when it refuses
+        grid = shape_grid()
+        assert len(grid) > 5000
+        seen = {verdict: 0 for verdict in Verdict}
+        for c in grid:
+            verdict, reason = characterized(c, SHAPE_WINDOW)
+            got = classify(c, SHAPE_WINDOW)
+            assert (got.verdict, got.reason) == (verdict, reason), c
+            seen[verdict] += 1
+            zig = next((g for g in c.generators if isinstance(g, Zigzag)), Zigzag(0))
+            seed = FiniteArc(zig.center - 1, zig.center + 1)
+            for call, needs, args in (
+                (approximation_report, Verdict.CLUSTER_TILTING, (c, PruferInd(0))),
+                (strong_overarc, Verdict.WCT_LOCALLY_FINITE, (c, 0)),
+                (overarc_antichain, Verdict.WCT_LOCALLY_FINITE, (c, seed, 1)),
+            ):
+                try:
+                    call(*args)
+                except ValueError as exc:
+                    refused = str(exc)
+                else:
+                    refused = None
+                if verdict is needs:
+                    assert refused is None, (call, c)
+                else:
+                    assert refused.endswith(f"classification gave {verdict.value}"), (call, c)
+        assert all(seen.values()), seen
+
+    def test_distinct_families_cross(self):
+        # the theorem the shape read rests on, by a plain scan of two
+        # materializations; SplitFan(m, m) is Fan(m), the same family
+        window = (-8, 8)
+        for i, g in enumerate(SHAPE_FAMILIES):
+            for h in SHAPE_FAMILIES[i + 1 :]:
+                if canon(g) == canon(h):
+                    assert noncrossing_check(cfg(g, h)) is None, (g, h)
+                    continue
+                mine, theirs = materialize(cfg(g), window), materialize(cfg(h), window)
+                assert any(
+                    arcs_cross(s, t) is CrossResult.CROSS for s in mine for t in theirs
+                ), (g, h)
+                assert noncrossing_check(cfg(g, h)) is not None, (g, h)
+
+
 class TestRenderClassification:
     def test_cluster_tilting_text(self):
         text = render_classification(classify(cfg(Fan(0), inf=[0]), (-12, 12)))
@@ -934,6 +1066,24 @@ class TestRenderClassification:
         )
 
 
+# Near misses of the locally finite shape, one Zigzag with member arcs
+# and no arc to infinity, with the verdict the refusal names: a fan with
+# its ray, a zigzag with a ray or a non-member, a split fan with a ray at
+# its left foot, a fan with a ray off its foot, two fans, explicit only.
+NOT_LOCALLY_FINITE = [
+    ([Fan(0)], [0], "ClusterTilting"),
+    ([Zigzag(0)], [0], "NotWCT"),
+    ([Zigzag(0), Explicit({FiniteArc(0, 2)})], [], "NotWCT"),
+    ([SplitFan(0, 2)], [0], "NotWCT"),
+    ([Fan(0)], [1], "NotWCT"),
+    ([Fan(0), Fan(3)], [0], "NotWCT"),
+    ([Explicit({FiniteArc(-1, 1)})], [], "NotWCT"),
+]
+NEEDS_LOCALLY_FINITE = (
+    "operation needs a locally finite maximal non-crossing configuration, classification gave "
+)
+
+
 class TestStrongOverarc:
     def test_frozen(self):
         z = cfg(Zigzag(0))
@@ -951,8 +1101,10 @@ class TestStrongOverarc:
             assert over.a < target.a and target.b < over.b
 
     def test_rejects_non_locally_finite(self):
-        with pytest.raises(ValueError):
-            strong_overarc(cfg(Fan(0), inf=[0]), 0)
+        for gens, infs, verdict in NOT_LOCALLY_FINITE:
+            with pytest.raises(ValueError) as info:
+                strong_overarc(ArcConfiguration(gens, infs), 0)
+            assert str(info.value) == f"{NEEDS_LOCALLY_FINITE}{verdict}", gens
 
     def test_rejects_foreign_target_arc(self):
         with pytest.raises(ValueError):
@@ -1020,8 +1172,10 @@ class TestOverarcAntichain:
         assert overarc_antichain(cfg(Zigzag(0)), FiniteArc(-1, 1), 0) == []
 
     def test_rejects_non_locally_finite(self):
-        with pytest.raises(ValueError):
-            overarc_antichain(cfg(Fan(0), inf=[0]), FiniteArc(0, 2), 1)
+        for gens, infs, verdict in NOT_LOCALLY_FINITE:
+            with pytest.raises(ValueError) as info:
+                overarc_antichain(ArcConfiguration(gens, infs), FiniteArc(-1, 1), 1)
+            assert str(info.value) == f"{NEEDS_LOCALLY_FINITE}{verdict}", gens
 
     @pytest.mark.parametrize(
         "seed,count,name",
