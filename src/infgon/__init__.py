@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "quiver": (
-        "FiniteInd", "PruferInd", "IndObject", "RegionPart", "HomWitness",
-        "HomDim", "Tristate", "shift_object", "wedge_contains",
-        "h_region_contains", "hom_dim", "ext_dim", "composite_nonzero",
+        "FiniteInd", "PruferInd", "IndObject", "HomWitness", "HomDim",
+        "Tristate", "shift_object", "wedge_contains", "hom_dim", "ext_dim",
+        "composite_nonzero",
     ),
     "arcs": (
         "FiniteArc", "InfiniteArc", "Arc", "CrossResult", "object_to_arc",

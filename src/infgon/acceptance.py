@@ -354,6 +354,17 @@ def suite_classification_fixtures() -> tuple[bool, int, str]:
             Verdict.NOT_WCT,
             ReasonKind.MULTIPLE_INFINITE_ARCS,
         ),
+        # next to the certified shapes: a Zigzag with a ray, unequal feet
+        (
+            ArcConfiguration([Zigzag(0)], [0]),
+            Verdict.NOT_WCT,
+            ReasonKind.CROSSING_PAIR,
+        ),
+        (
+            ArcConfiguration([SplitFan(0, 3)], [0]),
+            Verdict.NOT_WCT,
+            ReasonKind.FOUNTAIN_MISMATCH,
+        ),
     ]
     n = 0
     for config, want_verdict, want_reason in fixtures:
@@ -368,7 +379,7 @@ def suite_classification_fixtures() -> tuple[bool, int, str]:
     if cls.reason.crossing != (FiniteArc(0, 2), InfiniteArc(1)):
         return False, n, f"unexpected crossing witness {cls.reason.crossing}"
     n += 1
-    return True, n, "seven verdict fixtures plus a pinned witness"
+    return True, n, "nine verdict fixtures plus a pinned witness"
 
 
 def suite_overarc_witnesses() -> tuple[bool, int, str]:

@@ -15,9 +15,10 @@ any window width.
 
 `classify_direct_system` computes the homotopy colimit of a one-way
 infinite path in the repetition quiver described by a finite prefix of
-moves and an eventual-behavior tag.  Only the tail matters: a path that
+moves and an eventual-behavior tag.  The tail decides: a path that
 eventually rides a slice has the corresponding limit object as its
-colimit, a path that zigzags forever has colimit zero.
+colimit, a path that zigzags forever has colimit zero.  The prefix
+bounds the slot: it can go on to ride only a slice it can reach.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from itertools import repeat
 from typing import Optional, Union
 
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
-from .configurations import ArcConfiguration, Verdict, _certified, classify, DEFAULT_WINDOW
+from .configurations import ArcConfiguration, Verdict, _certified, _is_int, classify, DEFAULT_WINDOW
 from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _not_a, _region, _set
 
 __all__ = [
@@ -232,10 +233,14 @@ def classify_direct_system(path: DirectSystemDescriptor) -> SystemLimit:
     """Homotopy colimit of the described system.
 
     The finite prefix is validated (a DOWN move at index 0 leaves the
-    quiver) but has no influence on the answer: any finite amount of
-    zigzagging washes out in the limit.  The tail tag alone decides.
+    quiver) and bounds the slot: UP keeps shift + index and DOWN lowers
+    it by 2, so a prefix ending at sum e reaches only the slots e - 2k,
+    k >= 0, and a RidesSliceFrom tag for any other raises ValueError;
+    with no start any slot is reachable.  Past that, finite zigzagging
+    washes out and the tail tag decides.
     Raises TypeError naming the field when start is not None or a
-    FiniteInd, a move is not a Move, or tail is not a TailBehavior.
+    FiniteInd, a move is not a Move, tail is not a TailBehavior, or
+    tail.slot is not an int.
     """
     who = "classify_direct_system"
     if not isinstance(path.tail, (RidesSliceFrom, ZigzagsForever)):
@@ -256,6 +261,12 @@ def classify_direct_system(path: DirectSystemDescriptor) -> SystemLimit:
             raise ValueError(f"DOWN move from index {index} leaves the quiver")
         else:
             index -= 1
-    if isinstance(path.tail, RidesSliceFrom):
-        return PruferLimit(path.tail.slot)
-    return ZeroLimit()
+    if isinstance(path.tail, ZigzagsForever):
+        return ZeroLimit()
+    slot = path.tail.slot
+    if not _is_int(slot):
+        raise _not_a("an int tail.slot", "tail.slot", slot, who)
+    end = slot if path.start is None else path.start.shift - len(path.moves) + index
+    if slot > end or (end - slot) % 2:
+        raise ValueError(f"a prefix ending at slot {end} cannot ride the slice from slot {slot}")
+    return PruferLimit(slot)

@@ -35,9 +35,9 @@ place, unchecked; its HomWitness is built only when read.
 arcs.ext_via_crossing answers the same way.  Record fields and every
 Enum's .value are read by C getters.  _region reads a limit object as
 the ray (m, _RAY_END) for callers that hold arcs and need no witness.
-_arc and _finite_arc keep their own formula for the towers,
-h_region_contains and composite_nonzero, so the oracle suites that
-compare a tower with hom_dim compare two routes that share no code.
+_arc and _finite_arc keep their own formula for the towers and
+composite_nonzero, so the oracle suites that compare a tower with
+hom_dim compare two routes that share no code.
 """
 from __future__ import annotations
 
@@ -54,13 +54,11 @@ __all__ = [
     "FiniteInd",
     "PruferInd",
     "IndObject",
-    "RegionPart",
     "HomWitness",
     "HomDim",
     "Tristate",
     "shift_object",
     "wedge_contains",
-    "h_region_contains",
     "hom_dim",
     "ext_dim",
     "composite_nonzero",
@@ -196,14 +194,6 @@ class _Enum(Enum):
     """Every Enum of the package: .value reads _value_ in C, not in enum.property."""
 
     value = property(attrgetter("_value_"))
-
-
-class RegionPart(_Enum):
-    """Which of the two nonzero-map regions to test."""
-
-    MINUS = "minus"
-    PLUS = "plus"
-    EITHER = "either"
 
 
 class HomWitness(_Record):
@@ -355,29 +345,6 @@ def _finite_arc(func: str, name: str, x: object) -> tuple[int, int]:
     if not isinstance(x, FiniteInd):
         raise _not_finite(func, name, x)
     return _arc(x.shift, x.index)
-
-
-def h_region_contains(center: FiniteInd, obj: FiniteInd, part: RegionPart) -> bool:
-    """Test whether obj lies in a nonzero-map region of `center`.
-
-    The regions are those of the hom kernel for the once-downshifted
-    center: obj lies in a region of `center` exactly when the kernel
-    puts it there for Hom(shift_object(center, -1), obj).  Region edges
-    belong to the regions.  The minus region sits up-left of the center,
-    the plus region down-right; they are disjoint.
-    """
-    i, j = _finite_arc("h_region_contains", "center", center)
-    m, n = _finite_arc("h_region_contains", "obj", obj)
-    region = _region(i + 1, j + 1, m, n)
-    if part is RegionPart.PLUS:
-        return region == "plus"
-    if part is RegionPart.MINUS:
-        return region == "minus"
-    if part is RegionPart.EITHER:
-        return region is not None
-    raise TypeError(
-        f"h_region_contains takes a RegionPart part, part is {type(part).__name__}"
-    )
 
 
 def _hom_answer(func: str, t: int):

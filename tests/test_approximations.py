@@ -347,24 +347,44 @@ class TestEndpointReport:
 
 class TestDirectSystems:
     def test_bare_slice_ride(self):
-        d = DirectSystemDescriptor(None, (), RidesSliceFrom(0))
-        assert classify_direct_system(d) == PruferLimit(0)
+        # with no start, every slot is reachable
+        for slot in (-7, 0, 8, 10**12):
+            d = DirectSystemDescriptor(None, (), RidesSliceFrom(slot))
+            assert classify_direct_system(d) == PruferLimit(slot)
 
     def test_prefix_is_forgotten(self):
+        # the prefix ends at shift + index = -2, so slot 7 is out of reach
         d = DirectSystemDescriptor(
             FiniteInd(0, 0), (Move.UP, Move.UP, Move.DOWN), RidesSliceFrom(7)
         )
-        assert classify_direct_system(d) == PruferLimit(7)
+        want = "^a prefix ending at slot -2 cannot ride the slice from slot 7$"
+        with pytest.raises(ValueError, match=want):
+            classify_direct_system(d)
+
+    def test_prefix_bounds_the_slot(self):
+        # UP keeps shift + index, DOWN lowers it by 2: from (0, 0) after
+        # UP UP DOWN the reachable slots are -2, -4, -6, ...
+        start, moves = FiniteInd(0, 0), (Move.UP, Move.UP, Move.DOWN)
+        for slot in (-2, -4, -40):
+            d = DirectSystemDescriptor(start, moves, RidesSliceFrom(slot))
+            assert classify_direct_system(d) == PruferLimit(slot)
+        for slot in (-1, -3, 0):
+            d = DirectSystemDescriptor(start, moves, RidesSliceFrom(slot))
+            with pytest.raises(ValueError, match=f"cannot ride the slice from slot {slot}$"):
+                classify_direct_system(d)
 
     def test_forever_zigzag_collapses(self):
         d = DirectSystemDescriptor(None, (), ZigzagsForever())
         assert classify_direct_system(d) == ZeroLimit()
 
     def test_down_then_up_is_fine(self):
-        d = DirectSystemDescriptor(
-            FiniteInd(0, 1), (Move.DOWN, Move.UP), RidesSliceFrom(2)
-        )
-        assert classify_direct_system(d) == PruferLimit(2)
+        # the prefix ends at shift + index = -1, so slot 2 is out of reach
+        start, moves = FiniteInd(0, 1), (Move.DOWN, Move.UP)
+        with pytest.raises(ValueError, match="ending at slot -1 "):
+            classify_direct_system(DirectSystemDescriptor(start, moves, RidesSliceFrom(2)))
+        for slot in (-1, -3):
+            d = DirectSystemDescriptor(start, moves, RidesSliceFrom(slot))
+            assert classify_direct_system(d) == PruferLimit(slot)
 
     def test_tail_tag_required(self):
         with pytest.raises(ValueError):
@@ -395,6 +415,9 @@ class TestDirectSystems:
             (FiniteInd(0, 0), (), ZeroLimit(), "tail"),
             ((0, 0), (), RidesSliceFrom(0), "start"),
             ((0, 0), (Move.UP,), ZigzagsForever(), "start"),
+            (FiniteInd(0, 0), (), RidesSliceFrom("0"), "tail.slot"),
+            (None, (), RidesSliceFrom(1.0), "tail.slot"),
+            (None, (), RidesSliceFrom(True), "tail.slot"),
         ],
     )
     def test_type_error_names_the_field(self, start, moves, tail, name):

@@ -24,12 +24,10 @@ from infgon import (
     HomWitness,
     InfiniteArc,
     PruferInd,
-    RegionPart,
     Tristate,
     composite_nonzero,
     ext_dim,
     ext_via_crossing,
-    h_region_contains,
     hom_dim,
     object_to_arc,
     shift_object,
@@ -50,7 +48,7 @@ def h_region_set(center, part, m_lo, m_hi, n_lo, n_hi):
     out = set()
     for m in range(m_lo, m_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            if part is RegionPart.MINUS:
+            if part == "minus":
                 if not (m <= -r - s - 3 and -r - s - 1 <= n <= -r - 1):
                     continue
             else:
@@ -316,47 +314,28 @@ class TestShift:
 
 
 class TestHRegions:
-    @pytest.mark.parametrize("part", [RegionPart.MINUS, RegionPart.PLUS])
+    # obj lies in a region of center exactly when the kernel puts it there
+    # for Hom(shift_object(center, -1), obj)
+    @pytest.mark.parametrize("part", ["minus", "plus"])
     def test_membership_matches_enumeration(self, part):
         for center in CENTERS:
             oracle = h_region_set(center, part, -40, 40, -40, 40)
+            down = shift_object(center, -1)
             for obj in PROBES:
-                assert h_region_contains(center, obj, part) == (obj in oracle), (
-                    center,
-                    obj,
-                    part,
-                )
-
-    def test_either_is_the_union(self):
-        for center in CENTERS[:10]:
-            for obj in PROBES:
-                expected = h_region_contains(
-                    center, obj, RegionPart.MINUS
-                ) or h_region_contains(center, obj, RegionPart.PLUS)
-                assert h_region_contains(center, obj, RegionPart.EITHER) == expected
+                region = hom_dim(down, obj).witness.region
+                assert (region == part) == (obj in oracle), (center, obj, part)
 
     def test_regions_are_disjoint(self):
         for center in CENTERS:
-            for obj in PROBES:
-                assert not (
-                    h_region_contains(center, obj, RegionPart.MINUS)
-                    and h_region_contains(center, obj, RegionPart.PLUS)
-                )
+            minus = h_region_set(center, "minus", -40, 40, -40, 40)
+            plus = h_region_set(center, "plus", -40, 40, -40, 40)
+            assert not minus & plus, center
 
     def test_center_not_in_own_hammock(self):
-        center = FiniteInd(1, 0)
-        assert h_region_contains(center, FiniteInd(0, 0), RegionPart.PLUS)
-        assert h_region_contains(center, FiniteInd(2, 0), RegionPart.MINUS)
-        assert not h_region_contains(center, FiniteInd(1, 0), RegionPart.EITHER)
-
-    def test_bad_arguments_rejected_by_name(self):
-        x = FiniteInd(0, 0)
-        with pytest.raises(TypeError, match="h_region_contains .* center is PruferInd"):
-            h_region_contains(PruferInd(0), x, RegionPart.PLUS)
-        with pytest.raises(TypeError, match="h_region_contains .* obj is FiniteArc"):
-            h_region_contains(x, FiniteArc(0, 2), RegionPart.PLUS)
-        with pytest.raises(TypeError, match="RegionPart part, part is str"):
-            h_region_contains(x, x, "plus")
+        down = shift_object(FiniteInd(1, 0), -1)
+        assert hom_dim(down, FiniteInd(0, 0)).witness.region == "plus"
+        assert hom_dim(down, FiniteInd(2, 0)).witness.region == "minus"
+        assert hom_dim(down, FiniteInd(1, 0)).witness.region is None
 
 
 class TestWedge:

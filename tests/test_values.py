@@ -305,7 +305,7 @@ MEMBERS = [m for cls in ENUMS for m in cls]
 
 def test_every_enum_found():
     assert {cls.__name__ for cls in ENUMS} == {
-        "RegionPart", "Tristate", "CrossResult", "Verdict", "ReasonKind",
+        "Tristate", "CrossResult", "Verdict", "ReasonKind",
         "ApproximationKind", "Move", "TowerDirection",
     }
 
