@@ -39,13 +39,13 @@ _EXPORTS = {
     ),
     "configurations": (
         "Explicit", "Fan", "Zigzag", "SplitFan", "Generator",
-        "ArcConfiguration", "FountainFlags", "CertifiedMaximal",
-        "WindowVerified", "AddableArc", "MaximalityResult", "Verdict",
-        "ReasonKind", "Reason", "Classification", "configuration_from_dict",
-        "configuration_to_dict", "load_configuration", "materialize",
-        "noncrossing_check", "fountain_profile", "is_locally_finite",
-        "maximality_check", "classify", "render_classification",
-        "strong_overarc", "overarc_antichain",
+        "ArcConfiguration", "FountainFlags", "CertifiedMaximal", "AddableArc",
+        "MaximalityResult", "Verdict", "ReasonKind", "Reason",
+        "Classification", "configuration_from_dict", "configuration_to_dict",
+        "load_configuration", "materialize", "noncrossing_check",
+        "fountain_profile", "is_locally_finite", "maximality_check",
+        "classify", "render_classification", "strong_overarc",
+        "overarc_antichain",
     ),
     "approximations": (
         "ApproximationKind", "ApproximationReport", "approximation_report",

@@ -26,8 +26,8 @@ from itertools import repeat
 from typing import Optional, Union
 
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
-from .configurations import ArcConfiguration, Verdict, _certified, _is_int, classify, DEFAULT_WINDOW
-from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _not_a, _region, _set
+from .configurations import ArcConfiguration, Verdict, _certified, _window_ends, classify, DEFAULT_WINDOW
+from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _is_int, _not_a, _region, _set
 
 __all__ = [
     "ApproximationKind",
@@ -119,6 +119,7 @@ def approximation_report(
     d and f make at most 12 cuts, so a report makes a fixed number of
     kernel calls at any window width.
     """
+    lo, hi = _window_ends(window, "approximation_report")
     if _certified(c) is not Verdict.CLUSTER_TILTING:
         raise ValueError(
             f"approximation analysis needs a cluster tilting configuration,"
@@ -140,9 +141,6 @@ def approximation_report(
         # object at slot n + k its span is k, as its wedge test needs
         kind, target = ApproximationKind.COSLICE_OBJECT, arc_to_object(FiniteArc(di, f))
 
-    lo, hi = window
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
     # A member with a nonzero map to d is handled when the target is the
     # limit object and the member is that object or on the slice out of
     # f, or when the target is a coslice member it maps to.  Each run of

@@ -13,12 +13,13 @@ arcs to infinity.  Four generator kinds exist.
 
 Fan and SplitFan keep their feet, (v, v) and (p, q), in a derived slot
 `_feet`, and every closed form reads a fan through it as a split fan but
-two: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
-Fan(0) gives (0, 2), not the split fan's least member (-2, 0)), and
-materialize, which tests check the closed forms against.  materialize
-lists the endpoint pairs of the members in its window, one branch per
-kind, in sorted runs that one sort merges, dropping the pairs two
-sources share; diagram builds arcs only for what it draws.
+one: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
+Fan(0) gives (0, 2), not the split fan's least member (-2, 0)).
+materialize, which tests check the closed forms against, reads the
+fields instead, a Fan(v) as the split fan (v, v): it lists the endpoint
+pairs of the members in its window, one branch per kind, in sorted runs
+that one sort merges, dropping the pairs two sources share; diagram
+builds arcs only for what it draws.
 
 A configuration is normalized once, when it is built: its Explicit sets
 merge into one, and a repeated family, SplitFan(m, m) counting as
@@ -35,21 +36,22 @@ of each span, with endpoints linear in the span, so the least member
 satisfying an endpoint condition lies among a fixed set of spans, tried
 on int pairs: crossing witnesses against families take a fixed number of
 steps, whatever the coordinates, a zigzag's strong overarc is one closed
-form, and a configuration with a family is certified maximal.  The
-acceptance suites family-maximality and overarc-witnesses re-check
-membership, maximality and overarcs over windows.  When every generator
-is Explicit, the addable arc is found from the explicit arcs' endpoints,
-and the window only chooses which one is reported, not how much work is
-done.  Classification follows the combinatorial characterization: with
-no arc to infinity, a configuration is weakly cluster tilting iff its
-arcs are maximal non-crossing and locally finite; with exactly one arc
-to infinity at m, iff the finite part is maximal non-crossing with a
-two-sided fountain at m, and that case is moreover cluster tilting.
-Since two distinct families cross and a non-member crosses its family,
-each case is one shape of the normal form: a single family with only
-member arcs, plus the ray at m for Fan(m) or SplitFan(m, m), or no ray
-for a Zigzag.  classify and the preconditions of the witnesses read
-that shape in one pass over the explicit arcs.
+form, and any configuration with a family, whatever else it holds, is
+certified maximal.  The acceptance suites family-maximality and
+overarc-witnesses re-check membership, maximality and overarcs over
+windows.  When every generator is Explicit, the addable arc is found
+from the explicit arcs' endpoints, and the window only chooses which one
+is reported, not how much work is done.  Classification follows the
+combinatorial characterization: with no arc to infinity, a configuration
+is weakly cluster tilting iff its arcs are maximal non-crossing and
+locally finite; with exactly one arc to infinity at m, iff the finite
+part is maximal non-crossing with a two-sided fountain at m, and that
+case is moreover cluster tilting.  Since two distinct families cross
+and a non-member crosses its family, each case is one shape of the
+normal form: a single family with only member arcs, plus the ray at m
+for Fan(m) or SplitFan(m, m), or no ray for a Zigzag.  classify and the
+preconditions of the witnesses read that shape in one pass over the
+explicit arcs.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ from .arcs import (
     arc_sort_key,
     format_arc,
 )
-from .quiver import _Enum, _Value, _not_a, _set
+from .quiver import _Enum, _Value, _is_int, _not_a, _set
 
 __all__ = [
     "Explicit",
@@ -75,7 +77,6 @@ __all__ = [
     "ArcConfiguration",
     "FountainFlags",
     "CertifiedMaximal",
-    "WindowVerified",
     "AddableArc",
     "MaximalityResult",
     "Verdict",
@@ -141,10 +142,6 @@ class SplitFan(_Value):
 
 
 Generator = Union[Explicit, Fan, Zigzag, SplitFan]
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _reach(pairs: list) -> Callable:
@@ -403,21 +400,18 @@ def _spans(params: tuple[int, ...], points: tuple[int, ...]) -> Iterator[int]:
     yield from sorted({m * d + e for d in gaps for m in (1, 2) for e in range(-1, 4)} - _TRIED)
 
 
-def _family_crossing_witness(g: Generator, arc: FiniteArc) -> Optional[FiniteArc]:
-    """A family arc crossing `arc`, or None when none exists.  Assumes
-    arc is not a member.  For the infinite families a non-member always
-    crosses something, because the families are maximal: Fan answers by
-    a fixed closed form, whose witnesses tests pin, Zigzag and SplitFan
-    with their least crossing member by (span, a)."""
+def _family_crossing_witness(g: Generator, arc: FiniteArc) -> FiniteArc:
+    """A member of family g crossing `arc`, which is not a member.  The
+    families are maximal, so one exists: Fan answers by a fixed closed
+    form, whose witnesses tests pin, Zigzag and SplitFan with their
+    least crossing member by (span, a)."""
     if isinstance(g, Fan):
         v = g.vertex
         if arc.b < v:
             return FiniteArc(arc.b - 1, v)
         if arc.a > v:
             return FiniteArc(v, arc.a + 1)
-        if arc.a < v < arc.b:
-            return FiniteArc(v, arc.b + 1)
-        return None  # endpoint touches v: member, handled by caller
+        return FiniteArc(v, arc.b + 1)  # a < v < b: no end at v
     return _least_member(g, _crossing(arc.a, arc.b), (arc.a, arc.b))
 
 
@@ -439,23 +433,17 @@ def _infinite_vs_generator(g: Generator, m: int) -> Optional[FiniteArc]:
 def _materialize_generator(
     g: Generator, window: tuple[int, int]
 ) -> list[tuple[int, int]]:
-    # The endpoint pairs of the members of g in the window, one branch
-    # per kind.  Written apart from _pairs_of_span and _feet: tests and
-    # the acceptance suites check the closed forms against materialize.
+    # The endpoint pairs of the members of g in the window, a Fan(v)
+    # read from its field as SplitFan(v, v).  Written apart from
+    # _pairs_of_span and _feet: tests and the acceptance suites check
+    # the closed forms against materialize.
     lo, hi = window
-    if isinstance(g, Fan):
-        v = g.vertex
-        if not lo <= v <= hi:
-            return []
-        return [(a, v) for a in range(lo, v - 1)] + [
-            (v, b) for b in range(v + 2, hi + 1)
-        ]
     if isinstance(g, Zigzag):
         c0 = g.center
         return [(c0 - n, c0 + n) for n in range(1, min(c0 - lo, hi - c0) + 1)] + [
             (c0 - n - 1, c0 + n) for n in range(1, min(c0 - lo - 1, hi - c0) + 1)
         ]
-    p, q = g.p, g.q
+    p, q = (g.vertex, g.vertex) if isinstance(g, Fan) else (g.p, g.q)
     out: list[tuple[int, int]] = []
     if lo <= p <= hi:
         out += [(a, p) for a in range(lo, p - 1)]
@@ -465,13 +453,25 @@ def _materialize_generator(
     return out
 
 
+def _window_ends(window: tuple[int, int], who: str) -> tuple[int, int]:
+    # The ends (lo, hi) of an inclusive window, by the one window rule of
+    # classify, maximality_check, materialize, render_svg and
+    # approximation_report: int ends (a bool is not one), lo <= hi.
+    lo, hi = window
+    if not (type(lo) is int and type(hi) is int):
+        for k, x in enumerate(window):
+            if not _is_int(x):
+                raise _not_a("int window ends", f"window[{k}]", x, who)
+    if lo > hi:
+        raise ValueError(f"empty window {window}")
+    return lo, hi
+
+
 def _member_ends(c: ArcConfiguration, window: tuple[int, int]) -> tuple[list, list]:
     # materialize without the arcs: its sorted endpoint pairs and ray ends.
     # Each source lists distinct pairs in sorted runs, which one sort
     # merges; a pair repeats only across sources.
-    lo, hi = window
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
+    lo, hi = _window_ends(window, "materialize")
     pairs = [(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi]
     sources = len(c._families) + bool(pairs)
     for g in c._families:
@@ -491,16 +491,12 @@ def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
 # --- validation -----------------------------------------------------------
 
 
-def _generator_pair_witness(
-    g1: Generator, g2: Generator
-) -> Optional[tuple[FiniteArc, FiniteArc]]:
-    """The crossing pair (t1, t2) of two families least by (t1.span, t1.a,
-    t2.span, t2.a), or None when they are the same family.  The members
-    of g1 that cross g2 are, by maximality, exactly its non-members, so
-    t1 is the least of those and t2 the least member of g2 crossing t1."""
+def _generator_pair_witness(g1: Generator, g2: Generator) -> tuple[FiniteArc, FiniteArc]:
+    """The crossing pair (t1, t2) of two distinct families least by
+    (t1.span, t1.a, t2.span, t2.a).  The members of g1 that cross g2 are,
+    by maximality, exactly its non-members, so t1 is the least of those
+    and t2 the least member of g2 crossing t1."""
     t1 = _least_member(g1, lambda a, b: not _is_member(g2, a, b), g2._values(g2))
-    if t1 is None:
-        return None
     return t1, _least_member(g2, _crossing(t1.a, t1.b), (t1.a, t1.b))
 
 
@@ -512,10 +508,11 @@ def noncrossing_check(
 
     Scan order is deterministic: explicit pairs first, the least arc
     that the crossing index flags with the least arc it crosses, then
-    explicit against the infinite families, then family against family,
-    then the arcs to infinity against everything finite.  Two arcs to
-    infinity never yield a witness here (their crossing is undefined);
-    classify rejects that situation separately.
+    the first explicit non-member of a family with the family arc it
+    crosses, then the first two families, which cross as distinct
+    families do, then the arcs to infinity against everything finite.
+    Two arcs to infinity never yield a witness here (their crossing is
+    undefined); classify rejects that situation separately.
     """
     ex = sorted(c._explicit, key=arc_sort_key)
     bigs = c._families
@@ -526,14 +523,10 @@ def noncrossing_check(
             return t1, next(t2 for t2 in ex if cross(t2.a, t2.b))
     for t in ex:
         for g in bigs:
-            w = None if _is_member(g, t.a, t.b) else _family_crossing_witness(g, t)
-            if w is not None:
-                return (t, w)
-    for i, g1 in enumerate(bigs):
-        for g2 in bigs[i + 1 :]:
-            pair = _generator_pair_witness(g1, g2)
-            if pair is not None:
-                return pair
+            if not _is_member(g, t.a, t.b):
+                return (t, _family_crossing_witness(g, t))
+    if len(bigs) >= 2:
+        return _generator_pair_witness(bigs[0], bigs[1])
     for m in c.infinite_arcs:
         for t in ex:
             if t.a < m < t.b:
@@ -579,10 +572,6 @@ class CertifiedMaximal(_Value):
     __slots__ = ()
 
 
-class WindowVerified(_Value):
-    __slots__ = ()
-
-
 class AddableArc(_Value):
     __slots__ = __match_args__ = ("arc",)
 
@@ -590,7 +579,7 @@ class AddableArc(_Value):
         _set(self, "arc", arc)
 
 
-MaximalityResult = Union[CertifiedMaximal, WindowVerified, AddableArc]
+MaximalityResult = Union[CertifiedMaximal, AddableArc]
 
 
 def _candidates(explicit: frozenset, lo: int) -> range:
@@ -610,10 +599,10 @@ def maximality_check(
 ) -> MaximalityResult:
     """Maximality of the finite part (arcs to infinity play no role).
 
-    Assumes noncrossing_check passed.  Fan, Zigzag and SplitFan are each
-    a maximal non-crossing family, so a configuration with a family has
-    exactly one, every explicit arc is a member of it, and it is
-    CertifiedMaximal in O(1); the family-maximality acceptance suite
+    Fan, Zigzag and SplitFan are each a maximal non-crossing family, so
+    every arc crosses a member of it or is one, and a configuration with
+    a family has no addable arc whatever else it holds: it is
+    CertifiedMaximal in O(1).  The family-maximality acceptance suite
     re-checks that theorem over windows.  A pure Explicit configuration
     is never maximal: its addable arc is the least (a, b) of the window,
     lexicographically, that is no explicit arc and crosses none.  For
@@ -625,13 +614,12 @@ def maximality_check(
     beyond the right end of the span is returned, which cannot cross
     anything inside the span (with no arcs at all, the arc from the
     window's left end).  The window chooses which addable arc is
-    reported, not how much work is done.  A caller that skips
-    noncrossing_check and leaves a second family or a non-member
-    explicit arc next to a family gets WindowVerified.
+    reported, not how much work is done.  Raises on a window that
+    _window_ends rejects.
     """
-    explicit, bigs = c._explicit, c._families
-    if not bigs:
-        lo, hi = window
+    lo, hi = _window_ends(window, "maximality_check")
+    explicit = c._explicit
+    if not c._families:
         for a in _candidates(explicit, lo):
             b = a + 2
             while b <= hi:
@@ -646,9 +634,7 @@ def maximality_check(
                     return AddableArc(FiniteArc(a, b))
         h = max((t.b for t in explicit), default=lo)
         return AddableArc(FiniteArc(h, h + 2))
-    if len(bigs) == 1 and all(_is_member(bigs[0], t.a, t.b) for t in explicit):
-        return CertifiedMaximal()
-    return WindowVerified()
+    return CertifiedMaximal()
 
 
 # --- classification -------------------------------------------------------
@@ -752,8 +738,9 @@ def classify(
     The window only chooses which addable arc a pure Explicit
     configuration reports, the least one inside it; a configuration
     with a family is certified maximal whatever the window.  Neither
-    cost grows with the window.
+    cost grows with the window, which is checked first whatever c is.
     """
+    _window_ends(window, "classify")
     infs = c.infinite_arcs
     verdict = _certified(c)
     if verdict is not None and not infs:

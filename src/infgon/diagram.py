@@ -10,7 +10,7 @@ highlights ask the crossing index of `configurations` over the arcs drawn.
 """
 from __future__ import annotations
 
-from .configurations import ArcConfiguration, _crossing_index, _member_ends
+from .configurations import ArcConfiguration, _crossing_index, _member_ends, _window_ends
 from .quiver import _RAY_END
 
 __all__ = ["render_svg", "render_to_file"]
@@ -33,7 +33,7 @@ def render_svg(
     window: tuple[int, int],
     highlight_crossings: bool = False,
 ) -> str:
-    lo, hi = window
+    lo, hi = _window_ends(window, "render_svg")
     pairs, rays = _member_ends(c, window)
     crossing = _crossing_arcs(pairs, rays) if highlight_crossings else set()
 

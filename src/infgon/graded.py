@@ -51,6 +51,7 @@ from .quiver import (
     _Enum,
     _Value,
     _arc,
+    _check_ints,
     _finite_arc,
     _not_a,
     _region_run,
@@ -224,13 +225,6 @@ class TowerLimit(_Value):
         _set(self, "lim1_vanishes", lim1_vanishes)
 
 
-def _check_ints(func: str, **args: object) -> None:
-    # Only once an inline isinstance test fails: names the first non-int.
-    for name, x in args.items():
-        if not isinstance(x, int):
-            raise _not_a(f"an int {name}", name, x, func)
-
-
 def _run_row(
     region: Optional[str], lo: int, hi: int, count: int
 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
@@ -293,7 +287,7 @@ def build_hom_tower(y: FiniteInd, slice_start: int, truncation: int) -> HomTower
     Raises TypeError when y is not a FiniteInd or slice_start or
     truncation is not an int.
     """
-    if not (isinstance(slice_start, int) and isinstance(truncation, int)):
+    if not (type(slice_start) is int and type(truncation) is int):
         _check_ints("build_hom_tower", slice_start=slice_start, truncation=truncation)
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
@@ -325,7 +319,7 @@ def build_inverse_hom_tower(
     on a wrong value, as for build_hom_tower.  Raises TypeError when
     target is not a FiniteInd or slice_start or truncation is not an int.
     """
-    if not (isinstance(slice_start, int) and isinstance(truncation, int)):
+    if not (type(slice_start) is int and type(truncation) is int):
         _check_ints("build_inverse_hom_tower", slice_start=slice_start, truncation=truncation)
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
@@ -457,7 +451,7 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     caller picks the truncation large enough relative to |m - n|.
     Raises TypeError when an argument is not an int.
     """
-    if not (isinstance(m, int) and isinstance(n, int) and isinstance(truncation, int)):
+    if not (type(m) is int and type(n) is int and type(truncation) is int):
         _check_ints("prufer_prufer_tower", m=m, n=n, truncation=truncation)
     if truncation < 4:
         raise ValueError("truncation must be >= 4")

@@ -163,12 +163,15 @@ class FiniteInd(_Value):
     """A finite indecomposable: the index-th object on the base diagonal,
     shifted `shift` times.  The index must be nonnegative; shift is any
     integer.  The derived slots `_i` and `_j` hold the ends of its arc,
-    (-shift - index - 2, -shift), which the hom kernel reads."""
+    (-shift - index - 2, -shift), which the hom kernel reads.  Raises
+    TypeError on a field that is not an int (a bool is not one)."""
 
     __slots__ = ("shift", "index", "_i", "_j")
     __match_args__ = ("shift", "index")
 
     def __init__(self, shift: int, index: int) -> None:
+        if not (type(shift) is int and type(index) is int):
+            _check_ints("FiniteInd", shift=shift, index=index)
         if index < 0:
             raise ValueError(f"index must be >= 0, got {index}")
         _set(self, "shift", shift)
@@ -179,11 +182,13 @@ class FiniteInd(_Value):
 
 class PruferInd(_Value):
     """The limit object attached to integer slot `slot`.  Shifting by t
-    moves the slot by t."""
+    moves the slot by t.  Raises TypeError when the slot is not an int."""
 
     __slots__ = __match_args__ = ("slot",)
 
     def __init__(self, slot: int) -> None:
+        if type(slot) is not int:
+            _check_ints("PruferInd", slot=slot)
         _set(self, "slot", slot)
 
 
@@ -274,6 +279,19 @@ class Tristate(_Enum):
 
 def _not_a(kinds: str, name: str, x: object, who: str) -> TypeError:
     return TypeError(f"{who} takes {kinds}, {name} is {type(x).__name__}")
+
+
+def _is_int(x: object) -> bool:
+    # The package's one rule for an int argument: a bool is not one.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_ints(who: str, **args: object) -> None:
+    # Only once an inline `type(x) is int` test fails: passes the other
+    # ints by _is_int and names the first argument that is none.
+    for name, x in args.items():
+        if not _is_int(x):
+            raise _not_a(f"an int {name}", name, x, who)
 
 
 def _not_finite(func: str, name: str, x: object) -> TypeError:

@@ -31,7 +31,6 @@ from infgon import (
     ReasonKind,
     SplitFan,
     Verdict,
-    WindowVerified,
     Zigzag,
     approximation_report,
     arc_to_object,
@@ -441,10 +440,9 @@ class TestMaximality:
             for arc in rest:
                 assert arcs_cross(removed, arc) is CrossResult.NO_CROSS
 
-    def test_mixed_configuration_window_verified(self):
+    def test_mixed_configuration_certified_maximal(self):
         c = cfg(Zigzag(0), Explicit({FiniteArc(20, 22)}))
-        got = maximality_check(c, (-4, 4))
-        assert isinstance(got, (WindowVerified, AddableArc))
+        assert maximality_check(c, (-4, 4)) == CertifiedMaximal()
 
 
 class TestClosedFormMaximality:
@@ -610,11 +608,16 @@ class TestCrossingIndex:
         st.integers(-1, 16),
     )
     def test_checks_match_the_pairwise_loops(self, arcs, inf, lo, width):
-        # widths from an empty candidate set to past the arcs' span
+        # widths from an empty window, which raises, and an empty
+        # candidate set to past the arcs' span
         c = cfg(Explicit(arcs), inf=inf)
         window = (lo, lo + width)
         assert noncrossing_check(c) == pairwise_noncrossing(c)
-        assert maximality_check(c, window) == scanned_maximality(c, window)
+        if width < 0:
+            with pytest.raises(ValueError, match="empty window"):
+                maximality_check(c, window)
+        else:
+            assert maximality_check(c, window) == scanned_maximality(c, window)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -1042,6 +1045,100 @@ class TestCertifiedShapes:
                     arcs_cross(s, t) is CrossResult.CROSS for s in mine for t in theirs
                 ), (g, h)
                 assert noncrossing_check(cfg(g, h)) is not None, (g, h)
+
+
+class TestFamilyTheorems:
+    """The theorems that let noncrossing_check and maximality_check read
+    the normal form with no precondition, decided by materialize and
+    arcs_cross alone: a non-member crosses a member of its family, two
+    distinct families cross, so a configuration with a family is maximal
+    whatever else it holds."""
+
+    WIDE = (-40, 40)
+
+    def test_non_member_gets_a_crossing_member(self):
+        for g in SHAPE_FAMILIES:
+            members = set(materialize(cfg(g), self.WIDE))
+            for t in window_arcs(-8, 8):
+                if t not in members:
+                    w = configurations._family_crossing_witness(g, t)
+                    assert w in members, (g, t, w)
+                    assert arcs_cross(t, w) is CrossResult.CROSS, (g, t, w)
+
+    def test_distinct_families_give_a_crossing_pair(self):
+        mats = {g: set(materialize(cfg(g), self.WIDE)) for g in SHAPE_FAMILIES}
+        for g1 in SHAPE_FAMILIES:
+            for g2 in SHAPE_FAMILIES:
+                if canon(g1) == canon(g2):
+                    continue
+                t1, t2 = configurations._generator_pair_witness(g1, g2)
+                assert t1 in mats[g1] and t1 not in mats[g2], (g1, g2, t1)
+                assert t2 in mats[g2], (g1, g2, t2)
+                assert arcs_cross(t1, t2) is CrossResult.CROSS, (g1, g2)
+
+    def test_mixed_configurations_are_certified_maximal(self):
+        # two distinct families, or a family and a non-member explicit
+        # arc, with and without a ray: every non-member candidate of the
+        # window crosses a finite arc of the configuration, found in a
+        # wider window, as family-maximality scans; a zigzag off the
+        # centre needs the margin
+        window = (-9, 9)
+        fams = SHAPE_FAMILIES
+        mixed = [(g, h) for i, g in enumerate(fams) for h in fams[i + 1 :] if canon(g) != canon(h)]
+        for g in fams:
+            members = set(materialize(cfg(g), window))
+            strays = [t for t in (FiniteArc(-1, 1), FiniteArc(3, 6)) if t not in members]
+            mixed += [(g, Explicit({t})) for t in strays]
+        for gens in mixed:
+            for inf in ((), (0,)):
+                assert maximality_check(cfg(*gens, inf=inf), window) == CertifiedMaximal(), gens
+            arcs = materialize(cfg(*gens), (-24, 24))
+            have = set(arcs)
+            for cand in window_arcs(*window):
+                if cand not in have:
+                    assert any(
+                        arcs_cross(cand, t) is CrossResult.CROSS for t in arcs
+                    ), (gens, cand)
+
+
+class TestWindowRule:
+    """classify, maximality_check, materialize, render_svg and
+    approximation_report share one window rule, checked before anything
+    else: int ends, a bool not counting as one, and lo <= hi."""
+
+    CALLS = [
+        (classify, "classify"),
+        (maximality_check, "maximality_check"),
+        (materialize, "materialize"),
+        (diagram.render_svg, "render_svg"),
+        (lambda c, w: approximation_report(c, PruferInd(0), w), "approximation_report"),
+    ]
+    CONFIGS = [cfg(Explicit([FiniteArc(0, 2)])), cfg(Fan(0)), cfg(Fan(0), inf=[0])]
+
+    @pytest.mark.parametrize("window", [(3, -3), (1, 0)])
+    def test_empty_window_raises(self, window):
+        for call, _ in self.CALLS:
+            for c in self.CONFIGS:
+                with pytest.raises(ValueError) as info:
+                    call(c, window)
+                assert str(info.value) == f"empty window {window}", (call, c)
+
+    @pytest.mark.parametrize(
+        "window,end,kind",
+        [
+            (("a", 3), 0, "str"),
+            ((0, 2.5), 1, "float"),
+            ((True, 3), 0, "bool"),
+            ((0, False), 1, "bool"),
+        ],
+    )
+    def test_end_that_is_no_int_raises(self, window, end, kind):
+        for call, name in self.CALLS:
+            for c in self.CONFIGS:
+                with pytest.raises(TypeError) as info:
+                    call(c, window)
+                want = f"{name} takes int window ends, window[{end}] is {kind}"
+                assert str(info.value) == want, (call, c)
 
 
 class TestRenderClassification:

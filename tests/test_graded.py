@@ -691,6 +691,9 @@ class TestArgumentTypes:
             (dual_descriptor, ("x",), "m"),
             (degreewise_dims, ("x", (0, 3)), "m"),
             (HomTower, ((1, 1), (True,), "direct"), "direction"),
+            (prufer_prufer_tower, (True, 0, 4), "m"),
+            (build_hom_tower, (FiniteInd(0, 1), 0, False), "truncation"),
+            (build_inverse_hom_tower, (FiniteInd(0, 1), True, 4), "slice_start"),
         ],
         ids=lambda v: getattr(v, "__name__", None) if callable(v) else None,
     )

@@ -77,6 +77,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteInd(0, -1)
 
+    @pytest.mark.parametrize(
+        "make,args,message",
+        [
+            (FiniteInd, (0, 1.5), "FiniteInd takes an int index, index is float"),
+            (FiniteInd, ("0", 1), "FiniteInd takes an int shift, shift is str"),
+            (FiniteInd, (True, 1), "FiniteInd takes an int shift, shift is bool"),
+            (FiniteInd, (0, -1.0), "FiniteInd takes an int index, index is float"),
+            (PruferInd, ("a",), "PruferInd takes an int slot, slot is str"),
+            (PruferInd, (False,), "PruferInd takes an int slot, slot is bool"),
+        ],
+    )
+    def test_fields_must_be_ints(self, make, args, message):
+        # a bool is no int, as for the configuration layer
+        with pytest.raises(TypeError) as info:
+            make(*args)
+        assert str(info.value) == message
+
     def test_hom_dim_value_must_be_zero_or_one(self):
         for value in (2, -1, None):
             with pytest.raises(ValueError):

@@ -42,7 +42,6 @@ from infgon.configurations import (
     ReasonKind,
     SplitFan,
     Verdict,
-    WindowVerified,
     Zigzag,
     maximality_check,
     noncrossing_check,
@@ -99,7 +98,6 @@ VALUES = [
     ),
     _NORMALIZED,
     (CertifiedMaximal(), "CertifiedMaximal()"),
-    (WindowVerified(), "WindowVerified()"),
     (AddableArc(FiniteArc(0, 2)), "AddableArc(arc=FiniteArc(a=0, b=2))"),
     (
         Reason(ReasonKind.CROSSING_PAIR, crossing=(FiniteArc(0, 2), FiniteArc(1, 3))),
@@ -245,7 +243,7 @@ class TestDistinctTypes:
             (Fan(0), Zigzag(0)),
             (PolyFree(1), PruferMod(1)),
             (RidesSliceFrom(1), PruferLimit(1)),
-            (CertifiedMaximal(), WindowVerified()),
+            (CertifiedMaximal(), ZigzagsForever()),
             (ZigzagsForever(), ZeroLimit()),
             (PruferInd(0), InfiniteArc(0)),
             (FiniteInd(0, 2), FiniteArc(0, 2)),
