@@ -12,6 +12,10 @@ dimensions.
 Every name in ``__all__`` loads on first use: ``import infgon`` imports
 no submodule, and ``infgon.classify`` imports ``infgon.configurations``
 (with what it needs) the first time it is read.
+
+``_EXPORTS`` below is the one list of public names.  Each submodule it
+names sets its ``__all__`` from its entry, so a public name is written
+once, here.
 """
 from importlib import import_module
 

@@ -25,24 +25,12 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Optional, Union
 
+from . import _EXPORTS
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
 from .configurations import ArcConfiguration, Verdict, _certified, _window_ends, classify, DEFAULT_WINDOW
 from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _is_int, _not_a, _region, _set
 
-__all__ = [
-    "ApproximationKind",
-    "ApproximationReport",
-    "approximation_report",
-    "Move",
-    "RidesSliceFrom",
-    "ZigzagsForever",
-    "TailBehavior",
-    "DirectSystemDescriptor",
-    "PruferLimit",
-    "ZeroLimit",
-    "SystemLimit",
-    "classify_direct_system",
-]
+__all__ = list(_EXPORTS["approximations"])
 
 
 class ApproximationKind(_Enum):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from . import _EXPORTS
 from .quiver import (
     FiniteInd,
     HomDim,
@@ -24,24 +25,11 @@ from .quiver import (
     _Enum,
     _Value,
     _new,
+    _not_a,
     _set,
 )
 
-__all__ = [
-    "FiniteArc",
-    "InfiniteArc",
-    "Arc",
-    "CrossResult",
-    "object_to_arc",
-    "arc_to_object",
-    "arcs_cross",
-    "ext_via_crossing",
-    "overarcs_crossing_infinite",
-    "translate_arc",
-    "arc_sort_key",
-    "parse_arc",
-    "format_arc",
-]
+__all__ = list(_EXPORTS["arcs"])
 
 
 class FiniteArc(_Value):
@@ -77,9 +65,7 @@ def _not_arc(func: str, **args: object) -> TypeError:
     name, x = next(
         (k, v) for k, v in args.items() if not isinstance(v, (FiniteArc, InfiniteArc))
     )
-    return TypeError(
-        f"{func} takes FiniteArc or InfiniteArc arcs, {name} is {type(x).__name__}"
-    )
+    return _not_a("FiniteArc or InfiniteArc arcs", name, x, func)
 
 
 class CrossResult(_Enum):
@@ -103,9 +89,7 @@ def object_to_arc(x: IndObject) -> Arc:
     try:
         return InfiniteArc(-x.slot - 2)
     except AttributeError:
-        raise TypeError(
-            f"object_to_arc takes FiniteInd or PruferInd objects, x is {type(x).__name__}"
-        ) from None
+        raise _not_a("FiniteInd or PruferInd objects", "x", x, "object_to_arc") from None
 
 
 def arc_to_object(arc: Arc) -> IndObject:

@@ -59,6 +59,7 @@ import json
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
+from . import _EXPORTS
 from .arcs import (
     Arc,
     FiniteArc,
@@ -68,34 +69,7 @@ from .arcs import (
 )
 from .quiver import _Enum, _Value, _is_int, _not_a, _set
 
-__all__ = [
-    "Explicit",
-    "Fan",
-    "Zigzag",
-    "SplitFan",
-    "Generator",
-    "ArcConfiguration",
-    "FountainFlags",
-    "CertifiedMaximal",
-    "AddableArc",
-    "MaximalityResult",
-    "Verdict",
-    "ReasonKind",
-    "Reason",
-    "Classification",
-    "configuration_from_dict",
-    "configuration_to_dict",
-    "load_configuration",
-    "materialize",
-    "noncrossing_check",
-    "fountain_profile",
-    "is_locally_finite",
-    "maximality_check",
-    "classify",
-    "render_classification",
-    "strong_overarc",
-    "overarc_antichain",
-]
+__all__ = list(_EXPORTS["configurations"])
 
 DEFAULT_WINDOW = (-16, 16)
 
@@ -251,7 +225,7 @@ def _show(value: object) -> str:
 
 
 def _json_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"{path}: expected an integer, got {_show(value)}")
     return value
 
@@ -366,9 +340,9 @@ def _crossing(i: int, j: int) -> Callable[[int, int], bool]:
 
 def _least_member(
     g: Generator, pred: Callable[[int, int], bool], points: tuple[int, ...]
-) -> Optional[FiniteArc]:
+) -> FiniteArc:
     """The member of family g least by (span, a) whose endpoints (a, b)
-    satisfy pred, or None when no member does.
+    satisfy pred; each caller's pred holds for some member.
 
     pred must compare endpoints only with the family parameters and
     `points`.  Along each branch of the members of span k (a side of a
@@ -381,7 +355,6 @@ def _least_member(
         for a, b in _pairs_of_span(g, k):
             if pred(a, b):
                 return FiniteArc(a, b)
-    return None
 
 
 # The spans up to 3, which _spans yields first or skips.
@@ -467,15 +440,15 @@ def _window_ends(window: tuple[int, int], who: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _member_ends(c: ArcConfiguration, window: tuple[int, int]) -> tuple[list, list]:
-    # materialize without the arcs: its sorted endpoint pairs and ray ends.
-    # Each source lists distinct pairs in sorted runs, which one sort
-    # merges; a pair repeats only across sources.
-    lo, hi = _window_ends(window, "materialize")
+def _member_ends(c: ArcConfiguration, lo: int, hi: int) -> tuple[list, list]:
+    # materialize without the arcs: its sorted endpoint pairs and ray ends
+    # in the window [lo, hi], whose ends the caller has checked.  Each
+    # source lists distinct pairs in sorted runs, which one sort merges; a
+    # pair repeats only across sources.
     pairs = [(t.a, t.b) for t in c._explicit if lo <= t.a and t.b <= hi]
     sources = len(c._families) + bool(pairs)
     for g in c._families:
-        pairs += _materialize_generator(g, window)
+        pairs += _materialize_generator(g, (lo, hi))
     rays = [m for m in c.infinite_arcs if lo <= m <= hi]
     return sorted(set(pairs)) if sources > 1 else sorted(pairs), rays
 
@@ -484,7 +457,7 @@ def materialize(c: ArcConfiguration, window: tuple[int, int]) -> list[Arc]:
     """All arcs of the configuration whose endpoints (the finite one, for
     arcs to infinity) lie in the inclusive window.  Sorted: finite arcs
     lexicographically, then infinite arcs by endpoint."""
-    pairs, rays = _member_ends(c, window)
+    pairs, rays = _member_ends(c, *_window_ends(window, "materialize"))
     return [*(FiniteArc(a, b) for a, b in pairs), *map(InfiniteArc, rays)]
 
 
@@ -604,37 +577,43 @@ def maximality_check(
     a family has no addable arc whatever else it holds: it is
     CertifiedMaximal in O(1).  The family-maximality acceptance suite
     re-checks that theorem over windows.  A pure Explicit configuration
-    is never maximal: its addable arc is the least (a, b) of the window,
-    lexicographically, that is no explicit arc and crosses none.  For
-    each left end a of _candidates, b starts at a + 2 and jumps to the
-    farthest right end of the arcs starting inside (a, b) while that
-    passes b; an arc around a that ends inside (a, b) rules a out, and
-    an explicit (a, b) moves b by one.  So every step passes an arc and
-    the work is O(n log n).  If the window is exhausted, the arc just
-    beyond the right end of the span is returned, which cannot cross
-    anything inside the span (with no arcs at all, the arc from the
-    window's left end).  The window chooses which addable arc is
-    reported, not how much work is done.  Raises on a window that
-    _window_ends rejects.
+    is never maximal: _addable_arc finds its addable arc.  Raises on a
+    window that _window_ends rejects.
     """
     lo, hi = _window_ends(window, "maximality_check")
+    if c._families:
+        return CertifiedMaximal()
+    return AddableArc(_addable_arc(c, lo, hi))
+
+
+def _addable_arc(c: ArcConfiguration, lo: int, hi: int) -> FiniteArc:
+    """The addable arc of a pure Explicit configuration: the least (a, b)
+    of the window [lo, hi], lexicographically, that is no explicit arc
+    and crosses none.  For each left end a of _candidates, b starts at
+    a + 2 and jumps to the farthest right end of the arcs starting
+    inside (a, b) while that passes b; an arc around a that ends inside
+    (a, b) rules a out, and an explicit (a, b) moves b by one.  So every
+    step passes an arc and the work is O(n log n).  If the window is
+    exhausted, the arc just beyond the right end of the span is
+    returned, which cannot cross anything inside the span (with no arcs
+    at all, the arc from the window's left end).  The window chooses
+    which addable arc is reported, not how much work is done.
+    """
     explicit = c._explicit
-    if not c._families:
-        for a in _candidates(explicit, lo):
-            b = a + 2
-            while b <= hi:
-                r = c._reach(a, b)
-                if r > b:
-                    b = r
-                elif c._crosses(a, b):
-                    break
-                elif FiniteArc(a, b) in explicit:
-                    b += 1
-                else:
-                    return AddableArc(FiniteArc(a, b))
-        h = max((t.b for t in explicit), default=lo)
-        return AddableArc(FiniteArc(h, h + 2))
-    return CertifiedMaximal()
+    for a in _candidates(explicit, lo):
+        b = a + 2
+        while b <= hi:
+            r = c._reach(a, b)
+            if r > b:
+                b = r
+            elif c._crosses(a, b):
+                break
+            elif FiniteArc(a, b) in explicit:
+                b += 1
+            else:
+                return FiniteArc(a, b)
+    h = max((t.b for t in explicit), default=lo)
+    return FiniteArc(h, h + 2)
 
 
 # --- classification -------------------------------------------------------
@@ -740,7 +719,7 @@ def classify(
     with a family is certified maximal whatever the window.  Neither
     cost grows with the window, which is checked first whatever c is.
     """
-    _window_ends(window, "classify")
+    lo, hi = _window_ends(window, "classify")
     infs = c.infinite_arcs
     verdict = _certified(c)
     if verdict is not None and not infs:
@@ -759,8 +738,8 @@ def classify(
         reason = Reason(ReasonKind.MULTIPLE_INFINITE_ARCS, infinite_slots=infs)
     elif (witness := noncrossing_check(c)) is not None:
         reason = Reason(ReasonKind.CROSSING_PAIR, crossing=witness)
-    elif isinstance(mx := maximality_check(c, window), AddableArc):
-        reason = Reason(ReasonKind.ADDABLE_ARC, addable=mx.arc)
+    elif not c._families:
+        reason = Reason(ReasonKind.ADDABLE_ARC, addable=_addable_arc(c, lo, hi))
     else:
         profile = tuple(sorted(fountain_profile(c).items()))
         if infs:

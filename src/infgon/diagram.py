@@ -10,10 +10,11 @@ highlights ask the crossing index of `configurations` over the arcs drawn.
 """
 from __future__ import annotations
 
+from . import _EXPORTS
 from .configurations import ArcConfiguration, _crossing_index, _member_ends, _window_ends
 from .quiver import _RAY_END
 
-__all__ = ["render_svg", "render_to_file"]
+__all__ = list(_EXPORTS["diagram"])
 
 UNIT = 40
 MARGIN = 40
@@ -34,7 +35,7 @@ def render_svg(
     highlight_crossings: bool = False,
 ) -> str:
     lo, hi = _window_ends(window, "render_svg")
-    pairs, rays = _member_ends(c, window)
+    pairs, rays = _member_ends(c, lo, hi)
     crossing = _crossing_arcs(pairs, rays) if highlight_crossings else set()
 
     max_r = max(((b - a) * UNIT // 2 for a, b in pairs), default=UNIT)

@@ -44,6 +44,7 @@ from itertools import groupby
 from math import ceil
 from typing import Optional, Sequence, Union
 
+from . import _EXPORTS
 from .quiver import (
     FiniteInd,
     IndObject,
@@ -58,25 +59,7 @@ from .quiver import (
     _set,
 )
 
-__all__ = [
-    "FiniteCyclic",
-    "PolyFree",
-    "PruferMod",
-    "GradedModuleDescriptor",
-    "f_image",
-    "dual_descriptor",
-    "degreewise_dims",
-    "TowerDirection",
-    "HomTower",
-    "TowerUnstableError",
-    "TowerColimit",
-    "TowerLimit",
-    "build_hom_tower",
-    "build_inverse_hom_tower",
-    "truncated_colim",
-    "truncated_lim",
-    "prufer_prufer_tower",
-]
+__all__ = list(_EXPORTS["graded"])
 
 
 class FiniteCyclic(_Value):
@@ -386,7 +369,7 @@ def _read_tail(
     # The value and stable_from of a tower of the given direction: 1
     # when the last dim is 1 and the last flag, if any, is set.
     if not isinstance(tower, HomTower):
-        raise TypeError(f"{func} takes a HomTower, tower is {type(tower).__name__}")
+        raise _not_a("a HomTower", "tower", tower, func)
     if tower.direction is not direction:
         raise ValueError(f"{func} needs {kind} tower")
     dims, flags = tower.dims, tower.transition_nonzero
@@ -458,7 +441,7 @@ def prufer_prufer_tower(m: int, n: int, truncation: int) -> int:
     # Outer stage j is nonzero only from j = m - n on.  Past this gap
     # the outer tower has not settled by its final quarter, and past
     # gap truncation every outer stage is 0, a settled but wrong answer.
-    longest_gap = truncation - ceil(truncation / 4)
+    longest_gap = truncation - _quarter(truncation)
     if m - n > longest_gap:
         raise TowerUnstableError(
             f"truncation {truncation} is too short for slots {m} and {n}: "

@@ -45,24 +45,14 @@ from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
+from . import _EXPORTS
+
 try:
     from _collections import _tuplegetter
 except ImportError:  # as collections does without its C module
     _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
 
-__all__ = [
-    "FiniteInd",
-    "PruferInd",
-    "IndObject",
-    "HomWitness",
-    "HomDim",
-    "Tristate",
-    "shift_object",
-    "wedge_contains",
-    "hom_dim",
-    "ext_dim",
-    "composite_nonzero",
-]
+__all__ = list(_EXPORTS["quiver"])
 
 
 def _repr(x: object, values: tuple) -> str:
@@ -237,9 +227,7 @@ class HomDim(_Record):
         if value not in (0, 1):
             raise ValueError(f"hom dimension must be 0 or 1, got {value}")
         if type(witness) is not HomWitness:
-            raise TypeError(
-                f"HomDim takes a HomWitness witness, witness is {type(witness).__name__}"
-            )
+            raise _not_a("a HomWitness witness", "witness", witness, "HomDim")
         return tuple.__new__(cls, (value, *witness))
 
     value = _tuplegetter(0, "the dimension, 0 or 1")
@@ -307,9 +295,7 @@ def shift_object(x: IndObject, t: int) -> IndObject:
         return FiniteInd(x.shift + t, x.index)
     if isinstance(x, PruferInd):
         return PruferInd(x.slot + t)
-    raise TypeError(
-        f"shift_object takes FiniteInd or PruferInd objects, x is {type(x).__name__}"
-    )
+    raise _not_a("FiniteInd or PruferInd objects", "x", x, "shift_object")
 
 
 def wedge_contains(base: int, obj: FiniteInd) -> bool:
@@ -389,9 +375,7 @@ def _hom_answer(func: str, t: int):
                 m = a.slot
                 return _new(HomDim, (1 if slot <= m else 0, "prufer-prufer", None, (m, slot)))
         name, x = ("b", b) if isinstance(a, (FiniteInd, PruferInd)) else ("a", a)
-        raise TypeError(
-            f"{func} takes FiniteInd or PruferInd objects, {name} is {type(x).__name__}"
-        )
+        raise _not_a("FiniteInd or PruferInd objects", name, x, func)
 
     answer.__name__ = answer.__qualname__ = func
     return answer

@@ -307,14 +307,14 @@ class TestMemberEnds:
         ],
     )
     def test_matches_sorted_set_of_the_listings(self, c, window):
-        pairs, rays = configurations._member_ends(c, window)
+        pairs, rays = configurations._member_ends(c, *window)
         assert (pairs, rays) == listed_ends(c, window)
         assert len(pairs) == len(set(pairs))
 
     def test_empty_window_raises(self):
         for c in (cfg(Fan(0), SplitFan(0, 3)), cfg(Zigzag(0)), cfg(Explicit(set()))):
             with pytest.raises(ValueError, match="empty window"):
-                configurations._member_ends(c, (1, 0))
+                materialize(c, (1, 0))
 
 
 class TestNoncrossing:

@@ -3,6 +3,7 @@ module defines, and importing the package loads no submodule until a
 name is read."""
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -72,3 +73,18 @@ def test_submodules_import_from_the_package():
 def test_export_table_matches_module_all(module):
     home = importlib.import_module(f"infgon.{module}")
     assert list(infgon._EXPORTS[module]) == home.__all__
+
+
+@pytest.mark.parametrize("module", sorted(infgon._EXPORTS))
+def test_export_table_lists_every_public_definition(module):
+    # a class or function defined in the module without a leading
+    # underscore is public, so the table must name it
+    home = importlib.import_module(f"infgon.{module}")
+    defined = {
+        name
+        for name, value in vars(home).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == home.__name__
+    }
+    assert defined <= set(infgon._EXPORTS[module])
