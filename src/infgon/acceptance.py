@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from functools import partial
 from itertools import accumulate, groupby
 from typing import Callable
 
@@ -132,7 +131,8 @@ def _edge_stages(dims: tuple[int, ...]) -> list[int]:
     return sorted({s for k in starts for s in (k - 1, k)}) or [0]
 
 
-def suite_tower_colim_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
+def suite_tower_colim_vs_wedge() -> tuple[bool, int, str]:
+    truncation = 60
     objs = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
     slots = range(-8, 9)
     rays = [(object_to_arc(PruferInd(slot)).m, _RAY_END) for slot in slots]
@@ -159,7 +159,8 @@ def suite_tower_colim_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
     return True, n, f"colimits against the wedge formula, dims against hom_dim, N={truncation}"
 
 
-def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
+def suite_inverse_tower_vs_wedge() -> tuple[bool, int, str]:
+    truncation = 60
     objs = [arc_to_object(t) for t in _finite_arcs(-15, 15)]
     slots = range(-8, 9)
     rays = [(object_to_arc(PruferInd(slot)).m, _RAY_END) for slot in slots]
@@ -189,7 +190,8 @@ def suite_inverse_tower_vs_wedge(truncation: int = 60) -> tuple[bool, int, str]:
     return True, n, f"limits against wedge membership, dims against hom_dim, N={truncation}"
 
 
-def suite_prufer_prufer_tower(truncation: int = 30) -> tuple[bool, int, str]:
+def suite_prufer_prufer_tower() -> tuple[bool, int, str]:
+    truncation = 30
     slots = range(-6, 7)
     rays = [(object_to_arc(PruferInd(slot)).m, _RAY_END) for slot in slots]
     n = 0
@@ -553,24 +555,12 @@ ALL_SUITES: list[tuple[str, Callable[[], tuple[bool, int, str]]]] = [
 ]
 
 
-# Suites that walk truncated towers; `run_all` lets the caller override
-# their truncation in one place.
-_TOWER_SUITES = frozenset(
-    {"tower-colim-vs-wedge", "inverse-tower-vs-wedge", "prufer-prufer-tower"}
-)
-
-
 def run_suite(name: str, fn: Callable[[], tuple[bool, int, str]]) -> SuiteResult:
     start = time.perf_counter()
     passed, checked, detail = fn()
     return SuiteResult(name, passed, checked, detail, time.perf_counter() - start)
 
 
-def run_all(tower_truncation: int | None = None) -> list[SuiteResult]:
-    results = []
-    for name, fn in ALL_SUITES:
-        if tower_truncation is not None and name in _TOWER_SUITES:
-            results.append(run_suite(name, partial(fn, tower_truncation)))
-        else:
-            results.append(run_suite(name, fn))
-    return results
+def run_all() -> list[SuiteResult]:
+    """Run every suite of ALL_SUITES, in order, as registered."""
+    return [run_suite(name, fn) for name, fn in ALL_SUITES]

@@ -24,6 +24,7 @@ from .quiver import (
     PruferInd,
     _Enum,
     _Value,
+    _check_ints,
     _new,
     _not_a,
     _set,
@@ -33,11 +34,14 @@ __all__ = list(_EXPORTS["arcs"])
 
 
 class FiniteArc(_Value):
-    """Arc between integers a < b with b - a >= 2."""
+    """Arc between integers a < b with b - a >= 2.  Raises TypeError on
+    an end that is not an int (a bool is not one)."""
 
     __slots__ = __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
+        if not (type(a) is int and type(b) is int):
+            _check_ints("FiniteArc", a=a, b=b)
         if b - a < 2:
             raise ValueError(f"finite arc needs b - a >= 2, got ({a}, {b})")
         _set(self, "a", a)
@@ -49,11 +53,14 @@ class FiniteArc(_Value):
 
 
 class InfiniteArc(_Value):
-    """Arc from integer m to infinity."""
+    """Arc from integer m to infinity.  Raises TypeError when m is not
+    an int."""
 
     __slots__ = __match_args__ = ("m",)
 
     def __init__(self, m: int) -> None:
+        if type(m) is not int:
+            _check_ints("InfiniteArc", m=m)
         _set(self, "m", m)
 
 

@@ -5,6 +5,8 @@ Arcs are written "a,b" or "m,inf"; objects may also be written directly
 as "f:SHIFT:INDEX" (finite) or "p:SLOT" (limit object).  Output is
 human-readable lines by default and a versioned JSON document with
 --json.  Exit status: 0 success, 1 domain error, 2 usage error.
+`check` runs every oracle suite as registered, each tower suite at its
+own truncation, and takes no option but --json.
 
 Each handler imports the layers its command runs, so a call that needs
 only arcs and the quiver never loads configurations, towers, diagrams or
@@ -29,18 +31,6 @@ from .arcs import (
 from .quiver import FiniteInd, HomDim, HomWitness, IndObject, PruferInd, ext_dim, hom_dim
 
 SCHEMA = "infgon/1"
-# The tower truncations `check` accepts.  A truncated tower reads its
-# limit exactly when the wedge parameter j of the object it probes is
-# at most N - ceil(N/4) (see graded.build_hom_tower), and the inverse
-# tower suite probes up to j = 8 + 2 + 15 = 25: its slots reach 8, its
-# probe sits two up, and its objects reach shift -15.  34 is the least N
-# with N - ceil(N/4) >= 25; the other two tower suites pass from there
-# too.  The nested tower suite makes a fixed number of kernel calls per
-# tower at any truncation; the two others grow with it.  At 240 the three
-# tower suites take about 0.25 s on a 2-core host, under 1 ms of it in
-# the nested one.
-MIN_TRUNCATION = 34
-MAX_TRUNCATION = 240
 # The widest window `render` draws, and `witness approximation` reports
 # on.  Their time and output grow with the window's width, not with the
 # configuration: about 85 MB of drawing at 400000.
@@ -186,7 +176,8 @@ def _cmd_coord(args) -> int:
     return 0
 
 
-def _hom_like(args, name: str) -> int:
+def _hom_like(args) -> int:
+    name = args.command
     src = _parse_object(args.from_)
     dst = _parse_object(args.to)
     result: HomDim = hom_dim(src, dst) if name == "hom" else ext_dim(src, dst)
@@ -204,14 +195,6 @@ def _hom_like(args, name: str) -> int:
         print(f"dim {result.value}")
         print(_witness_text(result.witness))
     return 0
-
-
-def _cmd_hom(args) -> int:
-    return _hom_like(args, "hom")
-
-
-def _cmd_ext(args) -> int:
-    return _hom_like(args, "ext")
 
 
 def _cmd_cross(args) -> int:
@@ -253,14 +236,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    n = args.truncation
-    if n is not None and n < MIN_TRUNCATION:
-        return _usage_error(f"--truncation {n} is below the floor {MIN_TRUNCATION}")
-    if n is not None and _past_ceiling(f"--truncation {n} is above", n, MAX_TRUNCATION):
-        return 2
     from .acceptance import run_all
 
-    results = run_all(tower_truncation=args.truncation)
+    results = run_all()
     if args.json:
         _emit_json(
             {
@@ -417,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("coord", _cmd_coord, "convert between object and arc coordinates")
     p.add_argument("--from", dest="from_", required=True, metavar="ARC_OR_OBJ")
 
-    for name, handler in (("hom", _cmd_hom), ("ext", _cmd_ext)):
-        p = add(name, handler, f"{name} dimension between two objects")
+    for name in ("hom", "ext"):
+        p = add(name, _hom_like, f"{name} dimension between two objects")
         p.add_argument("--from", dest="from_", required=True, metavar="ARC_OR_OBJ")
         p.add_argument("--to", required=True, metavar="ARC_OR_OBJ")
 
@@ -430,15 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--window", default="-12:12", metavar="LO:HI")
 
-    p = add("check", _cmd_check, "run the oracle-agreement suites")
-    p.add_argument(
-        "--truncation",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the tower truncation used by the tower suites, "
-        f"{MIN_TRUNCATION} or more (at most {MAX_TRUNCATION})",
-    )
+    add("check", _cmd_check, "run the oracle-agreement suites")
 
     p = add("witness", _cmd_witness, "constructive witnesses")
     p.add_argument(

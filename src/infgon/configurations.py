@@ -12,9 +12,7 @@ arcs to infinity.  Four generator kinds exist.
   SplitFan(v, v), whose two feet meet.
 
 Fan and SplitFan keep their feet, (v, v) and (p, q), in a derived slot
-`_feet`, and every closed form reads a fan through it as a split fan but
-one: the fan's crossing witness, which tests pin (Explicit({(-1, 1)}) +
-Fan(0) gives (0, 2), not the split fan's least member (-2, 0)).
+`_feet`, and every closed form reads a fan through it as a split fan.
 materialize, which tests check the closed forms against, reads the
 fields instead, a Fan(v) as the split fan (v, v): it lists the endpoint
 pairs of the members in its window, one branch per kind, in sorted runs
@@ -159,9 +157,8 @@ class ArcConfiguration(_Value):
     into derived slots that are not fields: `_explicit`, the union of
     the Explicit arc sets, `_crosses`, its crossing index, `_reach`,
     the right half of that index, and `_families`, the other generators
-    without repeats, compared with SplitFan(m, m) read as Fan(m) and
-    kept in their first spelling, so crossing witnesses stay those of
-    the generators as written.  Every question reads those.  Raises TypeError on a generator that is not
+    without repeats, compared with SplitFan(m, m) read as Fan(m).
+    Every question reads those.  Raises TypeError on a generator that is not
     Explicit, Fan, Zigzag or SplitFan, an explicit arc that is not a
     FiniteArc, or a family parameter or slot that is not an int."""
 
@@ -375,11 +372,12 @@ def _spans(params: tuple[int, ...], points: tuple[int, ...]) -> Iterator[int]:
 
 def _family_crossing_witness(g: Generator, arc: FiniteArc) -> FiniteArc:
     """A member of family g crossing `arc`, which is not a member.  The
-    families are maximal, so one exists: Fan answers by a fixed closed
-    form, whose witnesses tests pin, Zigzag and SplitFan with their
+    families are maximal, so one exists: a family with equal feet,
+    Fan(v) or SplitFan(v, v), answers by a fixed closed form, whose
+    witnesses tests pin; Zigzag and the other split fans with their
     least crossing member by (span, a)."""
-    if isinstance(g, Fan):
-        v = g.vertex
+    if not isinstance(g, Zigzag) and g._feet[0] == g._feet[1]:
+        v = g._feet[0]
         if arc.b < v:
             return FiniteArc(arc.b - 1, v)
         if arc.a > v:

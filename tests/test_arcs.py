@@ -236,6 +236,12 @@ class TestArgumentTypes:
             (lambda: ext_via_crossing(FiniteArc(0, 2), None), "ext_via_crossing .* y is NoneType"),
             (lambda: format_arc(PruferInd(0)), "format_arc .* arc is PruferInd"),
             (lambda: arc_sort_key(3), "arc_sort_key .* arc is int"),
+            (lambda: FiniteArc(0.5, 3), "FiniteArc takes an int a, a is float"),
+            (lambda: FiniteArc(0, "3"), "FiniteArc takes an int b, b is str"),
+            (lambda: FiniteArc(True, 3), "FiniteArc takes an int a, a is bool"),
+            (lambda: InfiniteArc("x"), "InfiniteArc takes an int m, m is str"),
+            (lambda: InfiniteArc(1.0), "InfiniteArc takes an int m, m is float"),
+            (lambda: InfiniteArc(False), "InfiniteArc takes an int m, m is bool"),
         ],
     )
     def test_non_arc_argument_named(self, call, message):

@@ -7,9 +7,11 @@ byte-identity across repeated runs backs the golden-file guarantee.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,8 +22,8 @@ from infgon import acceptance, approximations, configurations, diagram
 from infgon.cli import (
     MAX_ANTICHAIN_COUNT,
     MAX_RENDER_WIDTH,
-    MAX_TRUNCATION,
-    MIN_TRUNCATION,
+    _absorb_negative_values,
+    _build_parser,
     _parse_object,
     format_object,
     main,
@@ -573,21 +575,6 @@ class TestErrorPaths:
 class TestCheckTruncation:
     # stub suites keep these from re-running the real half-minute check
 
-    def test_flag_reaches_tower_suites(self, capsys, monkeypatch):
-        calls = {}
-
-        def tower_suite(truncation=60):
-            calls["truncation"] = truncation
-            return True, 1, f"N={truncation}"
-
-        monkeypatch.setattr(
-            acceptance, "ALL_SUITES", [("tower-colim-vs-wedge", tower_suite)]
-        )
-        rc, out, _ = run_cli(capsys, "check", "--truncation", "40")
-        assert rc == 0
-        assert calls["truncation"] == 40
-        assert "N=40" in out
-
     def test_default_leaves_suite_truncation_alone(self, capsys, monkeypatch):
         calls = {}
 
@@ -602,79 +589,40 @@ class TestCheckTruncation:
         assert rc == 0
         assert calls["truncation"] == 60
 
-    def test_non_integer_truncation_is_usage_error(self, capsys):
+    def test_truncation_is_not_an_option(self, capsys, monkeypatch):
+        # every suite runs at its own truncation; the flag is a usage
+        # error that argparse reports before any suite runs
+        calls = []
+        monkeypatch.setattr(
+            acceptance,
+            "ALL_SUITES",
+            [("prufer-prufer-tower", lambda: calls.append(None))],
+        )
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--truncation", "zzz"])
+            main(["check", "--truncation", "40"])
         assert exc.value.code == 2
+        assert calls == []
+        assert "unrecognized arguments: --truncation 40" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 100_000_000_000])
-    def test_truncation_above_ceiling_is_usage_error(
-        self, capsys, monkeypatch, truncation
-    ):
-        # the stub records a call; a real suite at this depth would not end
-        calls = []
-        monkeypatch.setattr(
-            acceptance,
-            "ALL_SUITES",
-            [("prufer-prufer-tower", lambda truncation=30: calls.append(truncation))],
-        )
-        start = time.perf_counter()
-        rc, out, err = run_cli(capsys, "check", "--truncation", str(truncation))
-        assert time.perf_counter() - start < 1.0
-        assert (rc, out, calls) == (2, "", [])
-        assert err == (
-            f"error: --truncation {truncation} is above the ceiling {MAX_TRUNCATION}\n"
-        )
 
-    @pytest.mark.parametrize("truncation", [MIN_TRUNCATION - 1, 3, 0, -1])
-    def test_truncation_below_floor_is_usage_error(
-        self, capsys, monkeypatch, truncation
-    ):
-        calls = []
-        monkeypatch.setattr(
-            acceptance,
-            "ALL_SUITES",
-            [("prufer-prufer-tower", lambda truncation=30: calls.append(truncation))],
-        )
-        start = time.perf_counter()
-        rc, out, err = run_cli(capsys, "check", "--truncation", str(truncation))
-        assert time.perf_counter() - start < 1.0
-        assert (rc, out, calls) == (2, "", [])
-        assert err == (
-            f"error: --truncation {truncation} is below the floor {MIN_TRUNCATION}\n"
-        )
-
-    def test_floor_itself_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            acceptance, "ALL_SUITES", [("prufer-prufer-tower", _stub_suite)]
-        )
-        rc, out, _ = run_cli(capsys, "check", "--truncation", str(MIN_TRUNCATION))
-        assert rc == 0
-        assert f"N={MIN_TRUNCATION}" in out
-
-    def test_floor_is_the_least_passing_truncation(self):
-        # the real tower suites: the inverse one reaches wedge parameter
-        # 25, which a tower reads exactly only from N = 34 on
-        for name in sorted(acceptance._TOWER_SUITES):
-            passed, _, detail = dict(acceptance.ALL_SUITES)[name](MIN_TRUNCATION)
-            assert passed, (name, detail)
-        passed, _, detail = acceptance.suite_inverse_tower_vs_wedge(MIN_TRUNCATION - 1)
-        assert not passed and detail.startswith("unstable tower at"), detail
-
-    def test_ceiling_itself_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            acceptance, "ALL_SUITES", [("prufer-prufer-tower", _stub_suite)]
-        )
-        rc, out, _ = run_cli(capsys, "check", "--truncation", str(MAX_TRUNCATION))
-        assert rc == 0
-        assert f"N={MAX_TRUNCATION}" in out
-
-    def test_ceiling_is_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["check", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
-        assert f"(at most {MAX_TRUNCATION})" in help_text
-        assert f"{MIN_TRUNCATION} or more" in help_text
+class TestReadmeCommands:
+    def test_every_example_parses(self):
+        # each `infgon ...` line of README's sh blocks, as the parser reads
+        # it; no handler runs, so the files the lines name need not exist
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text("utf-8"), re.M | re.S)
+        lines = [
+            line.split("#")[0].split()
+            for block in blocks
+            for line in block.splitlines()
+            if line.startswith("infgon ")
+        ]
+        assert len(lines) >= 10
+        for words in lines:
+            try:
+                _build_parser().parse_args(_absorb_negative_values(words[1:]))
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {' '.join(words)}")
 
 
 class TestModuleInvocation:
@@ -917,8 +865,7 @@ def _argv(draw, configs):
     elif command == "classify":
         args = [*config, *draw(_flag("--window", _window_text))]
     elif command == "check":
-        truncation = st.one_of(st.builds(str, st.integers(-5, 80)), _junk)
-        args = draw(_flag("--truncation", truncation))
+        args = []
     elif command == "witness":
         which = draw(st.sampled_from(["overarc", "antichain", "approximation", "bogus"]))
         near = st.integers(-4, 4)
@@ -953,8 +900,8 @@ def _argv(draw, configs):
     return [command, *args]
 
 
-def _stub_suite(truncation=60):
-    return True, 1, f"N={truncation}"
+def _stub_suite():
+    return True, 1, "stub"
 
 
 class TestBoundaryProperties:

@@ -356,6 +356,37 @@ class TestNoncrossing:
         assert got == witness
         assert arcs_cross(*got) is CrossResult.CROSS
 
+    @pytest.mark.parametrize("v", range(-2, 3))
+    def test_fan_answers_do_not_depend_on_the_spelling(self, v):
+        # Fan(v) and SplitFan(v, v) are one family, written either way or
+        # both ways in either order, so every answer is the same
+        spellings = [[Fan(v)], [SplitFan(v, v)], [Fan(v), SplitFan(v, v)], [SplitFan(v, v), Fan(v)]]
+        for t in window_arcs(v - 4, v + 4):
+            for inf in ([], [v], [v + 1]):
+                got = {
+                    (noncrossing_check(c), classify(c, (v - 6, v + 6)))
+                    for c in (cfg(*fams, Explicit({t}), inf=inf) for fams in spellings)
+                }
+                assert len(got) == 1, (t, inf, got)
+        c = cfg(SplitFan(0, 0), Explicit({FiniteArc(-1, 1)}), inf=[0])
+        assert noncrossing_check(c) == (FiniteArc(-1, 1), FiniteArc(0, 2))
+
+    def test_infinite_arc_against_a_family(self):
+        # decided by materialize and comparisons alone: no witness exactly
+        # when no member near m has m strictly between its ends, else one
+        # such member
+        families = [
+            *(Fan(v) for v in range(-3, 4)),
+            *(Zigzag(c) for c in range(-3, 4)),
+            *(SplitFan(p, p + d) for p in range(-3, 4) for d in range(5) if p + d <= 3),
+        ]
+        for g in families:
+            for m in range(-8, 9):
+                members = materialize(cfg(g), (m - 24, m + 24))
+                over = [t for t in members if t.a < m < t.b]
+                got = configurations._infinite_vs_generator(g, m)
+                assert (got in over) if over else (got is None), (g, m, got)
+
     def test_witness_arcs_belong_to_configuration(self):
         c = cfg(Zigzag(0), Zigzag(5))
         x, y = noncrossing_check(c)
@@ -868,6 +899,12 @@ class TestClassify:
 
     def test_crossing_beats_everything(self):
         r = classify(cfg(Fan(0), inf=[1]), (-12, 12))
+        assert r.verdict is Verdict.NOT_WCT
+        assert r.reason.kind is ReasonKind.CROSSING_PAIR
+        assert r.reason.crossing == (FiniteArc(0, 2), InfiniteArc(1))
+
+    def test_ray_between_split_feet_crosses_the_bridge(self):
+        r = classify(cfg(SplitFan(0, 3), inf=[1]), (-12, 12))
         assert r.verdict is Verdict.NOT_WCT
         assert r.reason.kind is ReasonKind.CROSSING_PAIR
         assert r.reason.crossing == (FiniteArc(0, 2), InfiniteArc(1))

@@ -39,7 +39,6 @@ from infgon import (
     wedge_contains,
 )
 from infgon import graded
-from infgon.cli import MAX_TRUNCATION
 from infgon.quiver import _arc, _region
 
 
@@ -387,10 +386,10 @@ class TestPruferPruferTower:
 
     @pytest.mark.parametrize("gap_offset", range(-3, 4))
     def test_matches_full_rows_at_the_ceiling(self, gap_offset):
-        # N = MAX_TRUNCATION: gaps within 3 of where the inner tails start
-        # and stop settling, of the border between the answers 0 and 1,
-        # and of the gap guard
-        truncation = MAX_TRUNCATION
+        # N = 240: gaps within 3 of where the inner tails start and stop
+        # settling, of the border between the answers 0 and 1, and of the
+        # gap guard
+        truncation = 240
         q, longest_gap = ceil(truncation / 2), truncation - ceil(truncation / 4)
         answers = set()
         for border in (-2 * truncation - 2, -q - 3, -1, longest_gap):
