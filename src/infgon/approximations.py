@@ -27,8 +27,13 @@ from typing import Optional, Union
 
 from . import _EXPORTS
 from .arcs import Arc, FiniteArc, InfiniteArc, arc_to_object, object_to_arc
-from .configurations import ArcConfiguration, Verdict, _certified, _window_ends, classify, DEFAULT_WINDOW
-from .quiver import FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Value, _is_int, _not_a, _region, _set
+from .configurations import (
+    DEFAULT_WINDOW, ArcConfiguration, _CLUSTER_TILTING, _certified, _window_ends, classify
+)
+from .quiver import (
+    FiniteInd, IndObject, PruferInd, _RAY_END, _Enum, _Record, _Value, _is_int, _new, _not_a,
+    _region, _set,
+)
 
 __all__ = list(_EXPORTS["approximations"])
 
@@ -39,19 +44,14 @@ class ApproximationKind(_Enum):
     PRUFER_OBJECT = "PruferObject"
 
 
-class ApproximationReport(_Value):
-    __slots__ = __match_args__ = (
-        "kind",
-        "target",
-        "fountain_vertex",
-        "limit_slot",
-        "window",
-        "handled",
-        "exceptions",
+class ApproximationReport(_Record):
+    __slots__ = ()
+    __match_args__ = (
+        "kind", "target", "fountain_vertex", "limit_slot", "window", "handled", "exceptions"
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: ApproximationKind,
         target: Optional[IndObject],
         fountain_vertex: int,
@@ -59,14 +59,8 @@ class ApproximationReport(_Value):
         window: tuple[int, int],
         handled: tuple[Arc, ...],
         exceptions: tuple[Arc, ...],
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "target", target)
-        _set(self, "fountain_vertex", fountain_vertex)
-        _set(self, "limit_slot", limit_slot)
-        _set(self, "window", window)
-        _set(self, "handled", handled)
-        _set(self, "exceptions", exceptions)
+    ) -> ApproximationReport:
+        return _new(cls, (kind, target, fountain_vertex, limit_slot, window, handled, exceptions))
 
 
 def approximation_report(
@@ -108,7 +102,7 @@ def approximation_report(
     kernel calls at any window width.
     """
     lo, hi = _window_ends(window, "approximation_report")
-    if _certified(c) is not Verdict.CLUSTER_TILTING:
+    if _certified(c) is not _CLUSTER_TILTING:
         raise ValueError(
             f"approximation analysis needs a cluster tilting configuration,"
             f" classification gave {classify(c, window).verdict.value}"
@@ -151,14 +145,8 @@ def approximation_report(
                     (handled if covered else exceptions).extend(map(FiniteArc, *ends))
         if _region(f, _RAY_END, di, dj) is not None:
             (handled if prufer else exceptions).append(InfiniteArc(f))
-    return ApproximationReport(
-        kind=kind,
-        target=target,
-        fountain_vertex=f,
-        limit_slot=n,
-        window=window,
-        handled=tuple(handled),
-        exceptions=tuple(exceptions),
+    return _new(
+        ApproximationReport, (kind, target, f, n, (lo, hi), tuple(handled), tuple(exceptions))
     )
 
 

@@ -65,7 +65,7 @@ from .arcs import (
     arc_sort_key,
     format_arc,
 )
-from .quiver import _Enum, _Value, _is_int, _not_a, _set
+from .quiver import _Enum, _Record, _Value, _is_int, _new, _not_a, _set
 
 __all__ = list(_EXPORTS["configurations"])
 
@@ -633,19 +633,31 @@ class ReasonKind(_Enum):
     NOT_LOCALLY_FINITE_NO_INFINITE_ARC = "not_locally_finite_no_infinite_arc"
 
 
-class Reason(_Value):
-    __slots__ = __match_args__ = (
-        "kind",
-        "crossing",
-        "addable",
-        "infinite_slots",
-        "fountain_vertex",
-        "profile",
-        "facts",
+# The members the answer paths read, as module globals: a read through
+# the Enum class costs a descriptor lookup, about 100 ns, on every call.
+_WCT_LOCALLY_FINITE = Verdict.WCT_LOCALLY_FINITE
+_CLUSTER_TILTING = Verdict.CLUSTER_TILTING
+_NOT_WCT = Verdict.NOT_WCT
+_CERTIFIED = ReasonKind.CERTIFIED
+_CROSSING_PAIR = ReasonKind.CROSSING_PAIR
+_ADDABLE_ARC = ReasonKind.ADDABLE_ARC
+_MULTIPLE_INFINITE_ARCS = ReasonKind.MULTIPLE_INFINITE_ARCS
+_MISSING_INFINITE_ARC = ReasonKind.MISSING_INFINITE_ARC
+_FOUNTAIN_MISMATCH = ReasonKind.FOUNTAIN_MISMATCH
+_NOT_LOCALLY_FINITE = ReasonKind.NOT_LOCALLY_FINITE_NO_INFINITE_ARC
+
+
+class Reason(_Record):
+    """Why classify gave its verdict: the kind, and the witness fields
+    that kind sets; every other field keeps its default."""
+
+    __slots__ = ()
+    __match_args__ = (
+        "kind", "crossing", "addable", "infinite_slots", "fountain_vertex", "profile", "facts"
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: ReasonKind,
         crossing: Optional[tuple[Arc, Arc]] = None,
         addable: Optional[FiniteArc] = None,
@@ -653,22 +665,16 @@ class Reason(_Value):
         fountain_vertex: Optional[int] = None,
         profile: tuple[tuple[int, FountainFlags], ...] = (),
         facts: tuple[str, ...] = (),
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "crossing", crossing)
-        _set(self, "addable", addable)
-        _set(self, "infinite_slots", infinite_slots)
-        _set(self, "fountain_vertex", fountain_vertex)
-        _set(self, "profile", profile)
-        _set(self, "facts", facts)
+    ) -> Reason:
+        return _new(cls, (kind, crossing, addable, infinite_slots, fountain_vertex, profile, facts))
 
 
-class Classification(_Value):
-    __slots__ = __match_args__ = ("verdict", "reason")
+class Classification(_Record):
+    __slots__ = ()
+    __match_args__ = ("verdict", "reason")
 
-    def __init__(self, verdict: Verdict, reason: Reason) -> None:
-        _set(self, "verdict", verdict)
-        _set(self, "reason", reason)
+    def __new__(cls, verdict: Verdict, reason: Reason) -> Classification:
+        return _new(cls, (verdict, reason))
 
 
 def _certified(c: ArcConfiguration) -> Optional[Verdict]:
@@ -683,9 +689,9 @@ def _certified(c: ArcConfiguration) -> Optional[Verdict]:
     if isinstance(g, Zigzag):
         if infs:
             return None
-        verdict = Verdict.WCT_LOCALLY_FINITE
+        verdict = _WCT_LOCALLY_FINITE
     elif len(infs) == 1 and g._feet == (infs[0], infs[0]):
-        verdict = Verdict.CLUSTER_TILTING
+        verdict = _CLUSTER_TILTING
     else:
         return None
     return verdict if all(_is_member(g, t.a, t.b) for t in c._explicit) else None
@@ -720,9 +726,12 @@ def classify(
     lo, hi = _window_ends(window, "classify")
     infs = c.infinite_arcs
     verdict = _certified(c)
+    # Each answer is one flat record, built in place: the fields are
+    # (kind, crossing, addable, infinite_slots, fountain_vertex, profile,
+    # facts), in the order of Reason's constructor.
     if verdict is not None and not infs:
         facts = ("maximal_certified", "locally_finite", "no_infinite_arc")
-        reason = Reason(ReasonKind.CERTIFIED, facts=facts)
+        reason = _new(Reason, (_CERTIFIED, None, None, (), None, (), facts))
     elif verdict is not None:  # cluster tilting, with its arc to infinity
         m = infs[0]
         facts = (
@@ -731,29 +740,22 @@ def classify(
             f"infinite_arc_at_{m}",
             "satisfies_fountain_weak_verdict",
         )
-        reason = Reason(ReasonKind.CERTIFIED, fountain_vertex=m, facts=facts)
+        reason = _new(Reason, (_CERTIFIED, None, None, (), m, (), facts))
     elif len(infs) >= 2:
-        reason = Reason(ReasonKind.MULTIPLE_INFINITE_ARCS, infinite_slots=infs)
+        reason = _new(Reason, (_MULTIPLE_INFINITE_ARCS, None, None, infs, None, (), ()))
     elif (witness := noncrossing_check(c)) is not None:
-        reason = Reason(ReasonKind.CROSSING_PAIR, crossing=witness)
+        reason = _new(Reason, (_CROSSING_PAIR, witness, None, (), None, (), ()))
     elif not c._families:
-        reason = Reason(ReasonKind.ADDABLE_ARC, addable=_addable_arc(c, lo, hi))
+        reason = _new(Reason, (_ADDABLE_ARC, None, _addable_arc(c, lo, hi), (), None, (), ()))
     else:
         profile = tuple(sorted(fountain_profile(c).items()))
         if infs:
-            reason = Reason(
-                ReasonKind.FOUNTAIN_MISMATCH,
-                fountain_vertex=infs[0],
-                profile=profile,
-                infinite_slots=infs,
-            )
+            reason = _new(Reason, (_FOUNTAIN_MISMATCH, None, None, infs, infs[0], profile, ()))
         elif full := [v for v, fl in profile if fl.left and fl.right]:
-            reason = Reason(
-                ReasonKind.MISSING_INFINITE_ARC, fountain_vertex=full[0], profile=profile
-            )
+            reason = _new(Reason, (_MISSING_INFINITE_ARC, None, None, (), full[0], profile, ()))
         else:
-            reason = Reason(ReasonKind.NOT_LOCALLY_FINITE_NO_INFINITE_ARC, profile=profile)
-    return Classification(verdict or Verdict.NOT_WCT, reason)
+            reason = _new(Reason, (_NOT_LOCALLY_FINITE, None, None, (), None, profile, ()))
+    return _new(Classification, (verdict or _NOT_WCT, reason))
 
 
 def render_classification(cls: Classification) -> str:
@@ -788,7 +790,7 @@ def _locally_finite_zigzag(c: ArcConfiguration) -> Zigzag:
     # Only one Zigzag, with some of its own arcs, classifies as locally
     # finite weakly cluster tilting: the shape _certified reads.  classify
     # runs only to name the verdict in the error.
-    if _certified(c) is not Verdict.WCT_LOCALLY_FINITE:
+    if _certified(c) is not _WCT_LOCALLY_FINITE:
         raise ValueError(
             "operation needs a locally finite maximal non-crossing "
             f"configuration, classification gave {classify(c).verdict.value}"

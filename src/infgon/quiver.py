@@ -67,12 +67,18 @@ class _Record(tuple):
     Unlike a slot class it costs one tuple allocation to build.  A
     record equals only another record of the same type, never a plain
     tuple, and hashes like the tuple of its fields.  Subclasses name
-    their fields in __match_args__, take them in __new__ and read them
+    their fields in __match_args__ and take them in __new__.  Each field
+    the class body does not define reads the item at its position
     through _tuplegetter, the read-only C field getter of namedtuple.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls.__match_args__):
+            if name not in vars(cls):
+                setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)
@@ -208,10 +214,6 @@ class HomWitness(_Record):
     def __new__(cls, rule: str, region: Optional[str], params: tuple) -> HomWitness:
         return tuple.__new__(cls, (rule, region, params))
 
-    rule = _tuplegetter(0, "the membership rule that decided")
-    region = _tuplegetter(1, '"minus", "plus" or None')
-    params = _tuplegetter(2, "the solved parameters of the rule")
-
 
 class HomDim(_Record):
     """A hom-space dimension (always 0 or 1) plus its witness.
@@ -230,8 +232,6 @@ class HomDim(_Record):
             raise _not_a("a HomWitness witness", "witness", witness, "HomDim")
         return tuple.__new__(cls, (value, *witness))
 
-    value = _tuplegetter(0, "the dimension, 0 or 1")
-
     @property
     def witness(self) -> HomWitness:
         return _new(HomWitness, self[1:])
@@ -246,9 +246,9 @@ class HomDim(_Record):
         return _repr(self, (self[0], self.witness))
 
 
-# The answer path builds a flat HomDim in place through this one
-# constructor: its values are 0 or 1 by construction, so the checks of
-# the public constructor are skipped.
+# Each answer path builds its record in place through this one
+# constructor, as _new(cls, fields), past the public __new__: HomDim's
+# values are 0 or 1 by construction, so its checks are skipped.
 _new = tuple.__new__
 
 

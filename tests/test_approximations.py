@@ -171,6 +171,14 @@ class TestReportCoherence:
             FiniteArc(a, 0) for a in range(-5, -1)
         ) + tuple(FiniteArc(0, b) for b in range(2, 6))
 
+    def test_window_given_as_a_list_is_stored_checked(self):
+        # the report keeps the checked (lo, hi), so it hashes and equals
+        # the report made with the tuple window
+        r = approximation_report(FAN_CT, FiniteInd(1, 3), [-5, 5])
+        assert r.window == (-5, 5) and type(r.window) is tuple
+        assert r == approximation_report(FAN_CT, FiniteInd(1, 3), (-5, 5))
+        assert hash(r) == hash(approximation_report(FAN_CT, FiniteInd(1, 3), (-5, 5)))
+
     def test_requires_cluster_tilting(self):
         # near misses of the fan with its ray: a zigzag, explicit only, a
         # zigzag with a ray or a non-member, a split fan with a ray at its

@@ -572,22 +572,22 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
-class TestCheckTruncation:
+class TestCheckRunsSuitesAsRegistered:
     # stub suites keep these from re-running the real half-minute check
 
-    def test_default_leaves_suite_truncation_alone(self, capsys, monkeypatch):
-        calls = {}
+    def test_each_suite_is_called_with_no_argument(self, capsys, monkeypatch):
+        calls = []
 
-        def tower_suite(truncation=60):
-            calls["truncation"] = truncation
-            return True, 1, f"N={truncation}"
+        def tower_suite():
+            calls.append(None)
+            return True, 1, "N=60"
 
         monkeypatch.setattr(
             acceptance, "ALL_SUITES", [("prufer-prufer-tower", tower_suite)]
         )
         rc, _, _ = run_cli(capsys, "check")
         assert rc == 0
-        assert calls["truncation"] == 60
+        assert calls == [None]
 
     def test_truncation_is_not_an_option(self, capsys, monkeypatch):
         # every suite runs at its own truncation; the flag is a usage

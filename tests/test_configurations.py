@@ -8,6 +8,7 @@ questions by exhaustive pairwise crossing scans.
 
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -18,6 +19,8 @@ from infgon import configurations, diagram
 from infgon.arcs import _CROSS, arc_sort_key
 from infgon import (
     AddableArc,
+    ApproximationKind,
+    ApproximationReport,
     ArcConfiguration,
     CertifiedMaximal,
     CrossResult,
@@ -950,6 +953,52 @@ class TestClassify:
         for p in range(-6, 1):
             assert p not in ends
             assert p - 1 in starts
+
+
+def constructed(func, *args):
+    # The classes whose Python-level __new__ or __init__ runs during
+    # func(*args), in call order; a tuple.__new__ runs in C and is absent.
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("__new__", "__init__"):
+            local = frame.f_locals
+            built.append(local["cls"] if "cls" in local else type(local["self"]))
+
+    sys.setprofile(profile)
+    try:
+        answer = func(*args)
+    finally:
+        sys.setprofile(None)
+    return answer, built
+
+
+class TestOneTupleAnswer:
+    """classify and approximation_report build each answer record in
+    place as one tuple: no constructor of theirs runs in Python."""
+
+    @pytest.mark.parametrize(
+        "c,kind",
+        [
+            (cfg(Fan(0), inf=[0]), ReasonKind.CERTIFIED),
+            (cfg(Zigzag(0)), ReasonKind.CERTIFIED),
+            (cfg(Explicit({FiniteArc(0, 3), FiniteArc(1, 4)})), ReasonKind.CROSSING_PAIR),
+            (cfg(SplitFan(0, 3), inf=[0]), ReasonKind.FOUNTAIN_MISMATCH),
+        ],
+    )
+    def test_classify_enters_no_constructor(self, c, kind):
+        answer, built = constructed(classify, c, (-12, 12))
+        assert answer.reason.kind is kind
+        assert built == []
+
+    def test_report_enters_no_constructor_of_its_own(self):
+        # the arcs and objects of the report are built by their classes;
+        # the report itself is not
+        answer, built = constructed(
+            approximation_report, cfg(Fan(0), inf=[0]), PruferInd(0), (-12, 12)
+        )
+        assert answer.kind is ApproximationKind.COSLICE_OBJECT
+        assert FiniteArc in built and ApproximationReport not in built
 
 
 SHAPE_FAMILIES = (

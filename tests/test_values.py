@@ -55,7 +55,7 @@ from infgon.graded import (
     TowerDirection,
     TowerLimit,
 )
-from infgon.quiver import FiniteInd, PruferInd, _Enum, _Value
+from infgon.quiver import FiniteInd, HomDim, HomWitness, PruferInd, _Enum, _Record, _Value
 
 _REASON = Reason(
     ReasonKind.FOUNTAIN_MISMATCH,
@@ -187,7 +187,11 @@ class _Other:
 
 
 def with_field(x, name, value):
-    # A copy of x with one field replaced, built past the constructor.
+    # A copy of x with one field replaced, built past the constructor: a
+    # record is its tuple of fields, a slot value has its fields set.
+    if isinstance(x, _Record):
+        values = (value if f == name else v for f, v in zip(x.__match_args__, x))
+        return tuple.__new__(type(x), values)
     y = object.__new__(type(x))
     for f in type(x).__match_args__:
         object.__setattr__(y, f, value if f == name else getattr(x, f))
@@ -276,18 +280,22 @@ def _subclasses(cls):
 
 
 def test_one_value_protocol():
-    # Every value class compares and hashes through _Value itself, so the
-    # contract above holds by one definition.
+    # Every slot value class compares and hashes through _Value itself,
+    # and every record compares through _Record, so the contract above
+    # holds by one definition of each.
     for info in pkgutil.walk_packages(infgon.__path__, "infgon."):
         importlib.import_module(info.name)
     classes = list(_subclasses(_Value))
-    assert {FiniteInd, PruferInd, FiniteArc, InfiniteArc, Reason} <= set(classes)
+    assert {FiniteInd, PruferInd, FiniteArc, InfiniteArc} <= set(classes)
     overriding = [
         cls.__qualname__
         for cls in classes
         if cls.__eq__ is not _Value.__eq__ or cls.__hash__ is not _Value.__hash__
     ]
     assert overriding == []
+    records = list(_subclasses(_Record))
+    assert {Reason, Classification, ApproximationReport, HomDim, HomWitness} <= set(records)
+    assert [cls.__qualname__ for cls in records if cls.__eq__ is not _Record.__eq__] == []
 
 
 def _package_enums():
